@@ -209,6 +209,12 @@ void register_all() {
         ServiceConfig config;
         config.dispatchers = 1;
         config.queue_capacity = 4;
+        // Fork-join dispatch: the blocker must occupy the dispatcher
+        // itself. Under graph dispatch the dispatcher hands the blocker
+        // to the runners and is free again, so it could drain burst
+        // requests while they are being submitted and the rejection count
+        // would depend on thread timing.
+        config.graph = false;
         ClusterService svc(config);
         const auto big = make_dataset(n_big, 42);
         const auto tiny = make_dataset(64, 7);

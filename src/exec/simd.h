@@ -383,39 +383,6 @@ template <int DIM>
   return count;
 }
 
-/// Invokes `f(m)` for every member m in [begin, end) with squared
-/// distance to `p` <= eps_squared, in ascending member order — the same
-/// sequence a per-member scalar scan visits, so merge/claim targets are
-/// backend-independent. `scans` advances group-granularly over the full
-/// range (enumeration never early-stops: callers need the complete edge
-/// set). This is the delta-buffer probe of the streaming engine
-/// (stream/streaming_engine.h).
-template <int DIM, class F>
-inline void for_each_within(const std::array<const float*, DIM>& axes,
-                            std::int32_t begin, std::int32_t end,
-                            const Point<DIM>& p, float eps_squared,
-                            std::int64_t& scans, F&& f) {
-#if FDBSCAN_SIMD_BACKEND
-  const bool vec = enabled();
-#endif
-  for (std::int32_t g = begin; g < end; g += kWidth) {
-    const std::int32_t group = std::min<std::int32_t>(kWidth, end - g);
-    float d2[kWidth];
-#if FDBSCAN_SIMD_BACKEND
-    if (vec) {
-      detail::member_d2_vec<DIM>(axes, g, p, d2);
-    } else
-#endif
-    {
-      detail::member_d2_scalar<DIM>(axes, g, p, d2);
-    }
-    scans += group;
-    for (std::int32_t l = 0; l < group; ++l) {
-      if (d2[l] <= eps_squared) f(g + l);
-    }
-  }
-}
-
 /// Lowest member index m in [begin, end) with squared distance to `p`
 /// <= eps_squared, or -1. `scans` advances group-granularly over every
 /// group examined, including the witness group.

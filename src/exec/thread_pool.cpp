@@ -3,27 +3,25 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 
 #include "exec/atomic.h"
 #include "exec/profile.h"
 #include "exec/timer.h"
 #include "exec/trace.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 
 namespace fdbscan::exec {
 
-namespace {
-
-int default_num_threads() {
-  if (const char* env = std::getenv("FDBSCAN_NUM_THREADS")) {
-    int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? static_cast<int>(hc) : 1;
+int detail::default_num_threads() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return obs::env_positive_int("FDBSCAN_NUM_THREADS",
+                               hc > 0 ? static_cast<int>(hc) : 1,
+                               "exec.env_ignored");
 }
+
+namespace {
 
 std::atomic<int> g_num_threads{0};  // 0 = not yet initialized
 
@@ -116,7 +114,7 @@ void profile_add_launch(std::int64_t chunks) noexcept {
 int num_threads() noexcept {
   int n = g_num_threads.load(std::memory_order_acquire);
   if (n == 0) {
-    int fresh = default_num_threads();
+    int fresh = detail::default_num_threads();
     if (g_num_threads.compare_exchange_strong(n, fresh,
                                               std::memory_order_acq_rel)) {
       return fresh;

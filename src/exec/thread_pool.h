@@ -17,7 +17,8 @@
 namespace fdbscan::exec {
 
 /// Number of worker threads used by parallel kernels. Defaults to
-/// FDBSCAN_NUM_THREADS env var if set, otherwise hardware concurrency.
+/// detail::default_num_threads(): FDBSCAN_NUM_THREADS when it is a
+/// positive integer, otherwise hardware concurrency.
 /// Lazy initialization is thread-safe.
 int num_threads() noexcept;
 
@@ -40,6 +41,12 @@ void set_num_threads(int n);
 [[nodiscard]] bool in_parallel_region() noexcept;
 
 namespace detail {
+
+/// The worker count num_threads() starts from: FDBSCAN_NUM_THREADS when
+/// it is a positive integer (obs/env.h strict parse; any other set value
+/// logs one "exec.env_ignored" warning), otherwise hardware concurrency.
+/// Re-reads the environment on every call. Exposed for tests.
+[[nodiscard]] int default_num_threads();
 
 /// Internal pool. Dispatches a kernel over [0, n) in dynamically
 /// scheduled chunks; the calling thread participates.

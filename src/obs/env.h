@@ -1,0 +1,25 @@
+// Strict parsing of positive-integer environment knobs, shared by every
+// layer that reads one (FDBSCAN_NUM_THREADS, the FDBSCAN_SERVICE_*
+// knobs, FDBSCAN_SESSION_REBUILD_PCT).
+#pragma once
+
+#include <optional>
+
+namespace fdbscan::obs {
+
+/// Strict parse of a positive-integer knob value: the whole string must
+/// be a base-10 integer that fits in int and is > 0. Anything else —
+/// null, empty, trailing junk, zero, negative, overflow — is rejected
+/// (std::nullopt).
+[[nodiscard]] std::optional<int> parse_positive_env_int(const char* value);
+
+/// The value of env var `name` under parse_positive_env_int, or
+/// `fallback` when it is unset. A set but unusable value also yields
+/// `fallback` and emits one warning per variable, named `event`
+/// (e.g. "service.env_ignored"), on the structured log (obs/log.h; the
+/// default sink keeps warnings on stderr), instead of silently falling
+/// back.
+[[nodiscard]] int env_positive_int(const char* name, int fallback,
+                                   const char* event);
+
+}  // namespace fdbscan::obs

@@ -1,56 +1,22 @@
 #include "service/service.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
-#include <limits>
 #include <mutex>
-#include <set>
 #include <string>
 
 #include "exec/trace.h"
+#include "obs/env.h"
 #include "obs/log.h"
 
 namespace fdbscan::service {
 
-namespace detail {
-
-std::optional<int> parse_positive_env_int(const char* value) {
-  if (value == nullptr || *value == '\0') return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(value, &end, 10);
-  if (errno == ERANGE || end == value || *end != '\0') return std::nullopt;
-  if (v <= 0 || v > std::numeric_limits<int>::max()) return std::nullopt;
-  return static_cast<int>(v);
-}
-
-}  // namespace detail
-
 namespace {
 
 int env_int(const char* name, int fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  if (const auto v = detail::parse_positive_env_int(env)) return *v;
-  // A set-but-unusable knob silently becoming the default is how typos
-  // ship to production; warn once per variable. The warning rides the
-  // structured log (obs/log.h) so it carries machine-readable fields
-  // and honors FDBSCAN_LOG; the default sink keeps it on stderr.
-  static std::mutex warned_mutex;
-  static std::set<std::string> warned;
-  std::lock_guard<std::mutex> lock(warned_mutex);
-  if (warned.insert(name).second) {
-    obs::log_event(obs::LogLevel::kWarn, "service.env_ignored",
-                   {{"var", name},
-                    {"value", env},
-                    {"expected", "positive integer"},
-                    {"fallback", fallback}});
-  }
-  return fallback;
+  return obs::env_positive_int(name, fallback, "service.env_ignored");
 }
 
 // wd_heap_ comparator: std::push_heap/pop_heap build a max-heap, so

@@ -392,15 +392,6 @@ std::shared_ptr<Clustering> stage_typed(void* holder,
   return staged.result;
 }
 
-/// Strict parse of a FDBSCAN_SERVICE_* knob value: the whole string must
-/// be a base-10 integer that fits in int and is > 0. Anything else —
-/// empty, trailing junk, zero, negative, overflow — is rejected
-/// (std::nullopt) and from_env() emits a "service.env_ignored" warning
-/// (once per variable) on the structured log (obs/log.h; the default
-/// sink keeps warnings on stderr) instead of silently falling back.
-/// Exposed for tests.
-[[nodiscard]] std::optional<int> parse_positive_env_int(const char* value);
-
 /// One registered deadline in the watchdog heap. weak_ptr so an
 /// already-resolved request cannot be kept alive (or touched) by a
 /// stale deadline; the generation (captured at registration) makes

@@ -10,22 +10,37 @@
 //     inner Engine (core/engine.h). Built by the last full Morton
 //     re-sort; never mutated in place.
 //   * delta_  — the side buffer: points inserted since the last rebuild,
-//     mirrored into a padded SoA so membership probes run through the
-//     exec/simd.h lane-group kernels (count_within / for_each_within).
+//     indexed by an eps-cell grid (Wang/Gu/Shun): a (cell key, slot)
+//     array sorted by key, merged batch by batch on append, cut back on
+//     rollback, cleared on rebuild. Its buffers only grow, so a warm
+//     append allocates nothing.
 //   * live_begin_ — lazy expiry. Sequence numbers are assigned in slot
 //     order (base first, then delta), so the retired set is always a
-//     slot *prefix*: expire just advances one cursor and dead base
-//     points are filtered out of BVH probe results by an id compare.
+//     slot *prefix*: expire just advances one cursor and dead points
+//     are filtered out of probe results by an id compare.
 //
 // A query clusters the live set with the same two-phase kernels as
 // Engine::run — core counting, then fused traverse+union — except every
 // neighborhood probe is the union of a (dead-filtered) BVH traversal
-// over base_ and a lane-group scan over the live delta. Because the
-// logical point set and the resolved edge set are exactly those of a
-// from-scratch run, labels are equivalent (up to cluster renumbering and
-// the usual border-claim freedom) and core flags are bit-identical to
-// re-clustering the same points from scratch — at any worker count,
-// under both SIMD and scalar backends (tests/test_stream.cpp).
+// over base_ and a probe of the 3^DIM delta cells around the point.
+// Because the logical point set and the resolved edge set are exactly
+// those of a from-scratch run, labels are equivalent (up to cluster
+// renumbering and the usual border-claim freedom) and core flags are
+// bit-identical to re-clustering the same points from scratch — at any
+// worker count, under both SIMD and scalar backends
+// (tests/test_stream.cpp).
+//
+// The cell probe is exact: a pair passing the float test
+// squared_distance(p, q) <= eps2 lies at most
+// (sqrt(eps2) + 2^-74) * (1 + 2^-22) apart on every axis (float rounding
+// of the differences, squares and sum, subnormals included); the cell
+// side is that bound with the factor widened to 1 + 2^-16, and cell
+// coordinates are computed in double, whose rounding stays below the
+// margin, so such a pair is at most one cell apart on every axis. Coordinates are clamped to the
+// packed key's range; clamping is monotone, so adjacent cells stay
+// adjacent. An eps whose square overflows float puts every point in one
+// cell. A delta probe's distance computations count the live candidates
+// it tested (in (cell key, slot) order, so the count is deterministic).
 //
 // Incremental union-find (Wang/Gu/Shun-style cheap re-finalization):
 // query parameters are pinned at construction, so the union-find
@@ -49,8 +64,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -63,9 +78,7 @@
 #include "exec/cancel.h"
 #include "exec/per_thread.h"
 #include "exec/profile.h"
-#include "exec/simd.h"
 #include "geometry/point.h"
-#include "geometry/points_view.h"
 #include "unionfind/union_find.h"
 
 namespace fdbscan::stream {
@@ -103,7 +116,8 @@ class StreamingEngine {
   /// union-find state is only meaningful for one (eps, minpts, variant).
   StreamingEngine(Parameters params, Options options = {},
                   StreamConfig config = {})
-      : params_(params), options_(options), config_(config) {
+      : params_(params), options_(options), config_(config),
+        cell_side_(cell_side(params.eps * params.eps)) {
     reset_engine();
   }
 
@@ -112,6 +126,7 @@ class StreamingEngine {
   StreamingEngine(std::vector<Point<DIM>> initial, Parameters params,
                   Options options = {}, StreamConfig config = {})
       : params_(params), options_(options), config_(config),
+        cell_side_(cell_side(params.eps * params.eps)),
         base_(std::move(initial)) {
     reset_engine();
   }
@@ -312,52 +327,138 @@ class StreamingEngine {
     return delta_[static_cast<std::size_t>(delta_live_begin() + (i - nb))];
   }
 
-  [[nodiscard]] std::array<const float*, DIM> delta_axes() const noexcept {
-    std::array<const float*, DIM> axes{};
-    for (int d = 0; d < DIM; ++d) {
-      axes[static_cast<std::size_t>(d)] =
-          delta_axes_[static_cast<std::size_t>(d)].data();
+  // ---- delta side buffer + its eps-cell index -----------------------------
+  /// Bits per axis of a packed cell key; the last axis is lowest, so the
+  /// three cells of one probe row have consecutive keys.
+  static constexpr int kCellBits = std::min(32, 64 / DIM);
+  static_assert(kCellBits >= 2, "cell keys need at least 2 bits per axis");
+  static constexpr std::uint64_t kCellMax =
+      (std::uint64_t{1} << kCellBits) - 1;
+
+  struct CellEntry {
+    std::uint64_t key;
+    std::int32_t slot;
+    friend bool operator<(const CellEntry& a, const CellEntry& b) noexcept {
+      return a.key != b.key ? a.key < b.key : a.slot < b.slot;
     }
-    return axes;
+  };
+
+  /// Cell side for the float threshold eps2: the widest per-axis gap of
+  /// a pair passing squared_distance <= eps2, widened by 2^-16 so the
+  /// double cell coordinates' own rounding cannot push the pair two
+  /// cells apart (see the header comment).
+  [[nodiscard]] static double cell_side(float eps2) noexcept {
+    return (std::sqrt(static_cast<double>(eps2)) + 0x1p-74) *
+           (1.0 + 0x1p-16);
   }
 
-  // ---- delta side buffer --------------------------------------------------
+  /// Per-axis cell coordinates of `p`, clamped to [0, kCellMax].
+  [[nodiscard]] std::array<std::uint64_t, DIM> cell_of(
+      const Point<DIM>& p) const noexcept {
+    constexpr double kHalf =
+        static_cast<double>(std::uint64_t{1} << (kCellBits - 1));
+    std::array<std::uint64_t, DIM> c{};
+    for (int d = 0; d < DIM; ++d) {
+      const double q = std::clamp(static_cast<double>(p[d]) / cell_side_,
+                                  -kHalf, kHalf - 1.0);
+      c[static_cast<std::size_t>(d)] =
+          static_cast<std::uint64_t>(std::floor(q) + kHalf);
+    }
+    return c;
+  }
+
+  [[nodiscard]] static std::uint64_t pack(
+      const std::array<std::uint64_t, DIM>& c) noexcept {
+    std::uint64_t key = 0;
+    for (const std::uint64_t v : c) key = (key << kCellBits) | v;
+    return key;
+  }
+
+  /// Appends `points` as delta slots and merges their (cell key, slot)
+  /// entries into the sorted index. The buffers are grown before the
+  /// index is touched, and sorting and merging cannot throw, so a failed
+  /// allocation leaves the index consistent with delta_.
   void append_to_delta(std::span<const Point<DIM>> points) {
-    const auto k = static_cast<std::int64_t>(points.size());
-    const std::int64_t n = delta_n();
-    for (int d = 0; d < DIM; ++d) {
-      auto& axis = delta_axes_[static_cast<std::size_t>(d)];
-      axis.resize(static_cast<std::size_t>(n + k + kSoaPadding),
-                  std::numeric_limits<float>::infinity());
-      for (std::int64_t j = 0; j < k; ++j) {
-        axis[static_cast<std::size_t>(n + j)] =
-            points[static_cast<std::size_t>(j)][d];
-      }
-    }
+    const std::size_t k = points.size();
+    const std::size_t n = delta_.size();
+    batch_cells_.resize(k);
+    merged_cells_.resize(delta_cells_.size() + k);
     delta_.insert(delta_.end(), points.begin(), points.end());
+    for (std::size_t j = 0; j < k; ++j) {
+      batch_cells_[j] = {pack(cell_of(points[j])),
+                         static_cast<std::int32_t>(n + j)};
+    }
+    std::sort(batch_cells_.begin(), batch_cells_.end());
+    std::merge(delta_cells_.begin(), delta_cells_.end(), batch_cells_.begin(),
+               batch_cells_.end(), merged_cells_.begin());
+    std::swap(delta_cells_, merged_cells_);
   }
 
+  /// Drops delta slots >= n (rollback; n = 0 on rebuild).
   void truncate_delta(std::int64_t n) {
     delta_.resize(static_cast<std::size_t>(n));
-    for (int d = 0; d < DIM; ++d) {
-      auto& axis = delta_axes_[static_cast<std::size_t>(d)];
-      axis.resize(static_cast<std::size_t>(n + kSoaPadding));
-      std::fill(axis.begin() + static_cast<std::ptrdiff_t>(n), axis.end(),
-                std::numeric_limits<float>::infinity());
+    std::erase_if(delta_cells_,
+                  [n](const CellEntry& e) { return e.slot >= n; });
+  }
+
+  /// Invokes f(slot) for every live delta slot within eps of `p`, until
+  /// f returns false. Candidates are the indexed slots of the 3^DIM cells
+  /// around `p`, in (cell key, slot) order; each live one tested counts
+  /// as one distance computation in stats.leaves_tested. One binary
+  /// search per row of three cells along the last axis; rows are visited
+  /// in ascending key order, so each search starts where the previous
+  /// row ended.
+  template <class F>
+  void for_each_delta_neighbor(const Point<DIM>& p, float eps2,
+                               TraversalStats& stats, F&& f) const {
+    const auto live = static_cast<std::int32_t>(delta_live_begin());
+    const std::array<std::uint64_t, DIM> cell = cell_of(p);
+    std::array<std::uint64_t, DIM> lo{};
+    std::array<std::uint64_t, DIM> hi{};
+    for (std::size_t d = 0; d < DIM; ++d) {
+      lo[d] = cell[d] > 0 ? cell[d] - 1 : 0;
+      hi[d] = std::min(cell[d] + 1, kCellMax);
+    }
+    constexpr std::size_t kLast = DIM - 1;
+    std::array<std::uint64_t, DIM> row = lo;
+    auto it = delta_cells_.begin();
+    const auto end = delta_cells_.end();
+    for (;;) {
+      const std::uint64_t first = pack(row);  // row[kLast] == lo[kLast]
+      const std::uint64_t last = first + (hi[kLast] - lo[kLast]);
+      it = std::lower_bound(it, end, first,
+                            [](const CellEntry& e, std::uint64_t key) {
+                              return e.key < key;
+                            });
+      for (; it != end && it->key <= last; ++it) {
+        if (it->slot < live) continue;  // retired
+        ++stats.leaves_tested;
+        if (squared_distance(p, delta_[static_cast<std::size_t>(it->slot)]) <=
+                eps2 &&
+            !f(it->slot)) {
+          return;
+        }
+      }
+      // Next row: odometer over the leading DIM-1 axes.
+      std::size_t d = kLast;
+      while (d > 0 && row[d - 1] == hi[d - 1]) {
+        row[d - 1] = lo[d - 1];
+        --d;
+      }
+      if (d == 0) return;
+      ++row[d - 1];
     }
   }
 
-  // ---- neighborhood probes (BVH over base + lane-group delta scan) --------
+  // ---- neighborhood probes (BVH over base + delta cell probe) -------------
   /// Saturating neighbor count of `p` over the live set (includes the
   /// probe point itself when it is a member). early_stop <= 0 disables
   /// the early exit; with early_stop = minpts the returned value is
   /// exact below minpts and saturated (>= minpts) above — exactly what
   /// core determination and crossing detection compare against.
-  [[nodiscard]] std::int32_t count_live_neighbors(const Point<DIM>& p,
-                                                  float eps2,
-                                                  std::int32_t early_stop,
-                                                  TraversalStats& stats,
-                                                  std::int64_t& scans) const {
+  [[nodiscard]] std::int32_t count_live_neighbors(
+      const Point<DIM>& p, float eps2, std::int32_t early_stop,
+      TraversalStats& stats) const {
     std::int32_t count = 0;
     const auto base_live = static_cast<std::int32_t>(live_base_begin());
     if (live_base_count() > 0) {
@@ -374,12 +475,12 @@ class StreamingEngine {
           },
           &stats);
     }
-    const auto lo = static_cast<std::int32_t>(delta_live_begin());
-    const auto hi = static_cast<std::int32_t>(delta_n());
-    if (lo < hi && !(early_stop > 0 && count >= early_stop)) {
-      count += simd::count_within<DIM>(
-          delta_axes(), lo, hi, p, eps2,
-          early_stop > 0 ? early_stop - count : std::int32_t{0}, scans);
+    if (delta_live_begin() < delta_n() &&
+        !(early_stop > 0 && count >= early_stop)) {
+      for_each_delta_neighbor(p, eps2, stats, [&](std::int32_t) {
+        ++count;
+        return !(early_stop > 0 && count >= early_stop);
+      });
     }
     return count;
   }
@@ -389,8 +490,7 @@ class StreamingEngine {
   /// callers need the complete edge set.
   template <class F>
   void for_each_live_neighbor(const Point<DIM>& p, float eps2,
-                              TraversalStats& stats, std::int64_t& scans,
-                              F&& f) const {
+                              TraversalStats& stats, F&& f) const {
     const auto base_live = static_cast<std::int32_t>(live_base_begin());
     const auto nb = static_cast<std::int32_t>(live_base_count());
     if (nb > 0) {
@@ -403,10 +503,11 @@ class StreamingEngine {
           &stats);
     }
     const auto lo = static_cast<std::int32_t>(delta_live_begin());
-    const auto hi = static_cast<std::int32_t>(delta_n());
-    if (lo < hi) {
-      simd::for_each_within<DIM>(delta_axes(), lo, hi, p, eps2, scans,
-                                 [&](std::int32_t m) { f(nb + (m - lo)); });
+    if (lo < delta_n()) {
+      for_each_delta_neighbor(p, eps2, stats, [&](std::int32_t m) {
+        f(nb + (m - lo));
+        return true;
+      });
     }
   }
 
@@ -437,12 +538,10 @@ class StreamingEngine {
           options_.early_exit ? params_.minpts : std::int32_t{0};
       exec::parallel_for("stream/pre/core-count", n, [&](std::int64_t i) {
         TraversalStats stats;
-        std::int64_t scans = 0;
-        const std::int32_t c = count_live_neighbors(
-            logical_point(i), eps2, early, stats, scans);
+        const std::int32_t c =
+            count_live_neighbors(logical_point(i), eps2, early, stats);
         counts_[static_cast<std::size_t>(i)] = c;
         if (c >= params_.minpts) is_core_[static_cast<std::size_t>(i)] = 1;
-        stats.leaves_tested += scans;
         work.local() += stats;
       });
     }
@@ -454,15 +553,13 @@ class StreamingEngine {
     exec::parallel_for("stream/main/traverse-union", n, [&](std::int64_t i) {
       const auto x = static_cast<std::int32_t>(i);
       TraversalStats stats;
-      std::int64_t scans = 0;
       for_each_live_neighbor(
-          logical_point(i), eps2, stats, scans, [&](std::int32_t y) {
+          logical_point(i), eps2, stats, [&](std::int32_t y) {
             if (y != x) {
               fdbscan::detail::resolve_pair(uf, is_core_, x, y,
                                             options_.variant);
             }
           });
-      stats.leaves_tested += scans;
       work.local() += stats;
     });
     timings.main = timer.lap("stream/main", &timings.main_profile);
@@ -499,10 +596,9 @@ class StreamingEngine {
       exec::parallel_for("stream/insert/count", k, [&](std::int64_t j) {
         const std::int64_t q = n_old + j;
         TraversalStats stats;
-        std::int64_t scans = 0;
         std::int32_t count = 0;
         for_each_live_neighbor(
-            logical_point(q), eps2, stats, scans, [&](std::int32_t y) {
+            logical_point(q), eps2, stats, [&](std::int32_t y) {
               ++count;  // includes q itself and batch members
               if (y < n_old) {
                 const std::int32_t prev = exec::atomic_fetch_add(
@@ -514,7 +610,6 @@ class StreamingEngine {
               }
             });
         counts_[static_cast<std::size_t>(q)] = count;
-        stats.leaves_tested += scans;
         work.local() += stats;
       });
       // Pass 2: core flags with the post-batch counts.
@@ -544,15 +639,13 @@ class StreamingEngine {
           t < k ? n_old + t : flipped[static_cast<std::size_t>(t - k)];
       const auto x = static_cast<std::int32_t>(x64);
       TraversalStats stats;
-      std::int64_t scans = 0;
       for_each_live_neighbor(
-          logical_point(x64), eps2, stats, scans, [&](std::int32_t y) {
+          logical_point(x64), eps2, stats, [&](std::int32_t y) {
             if (y != x) {
               fdbscan::detail::resolve_pair(uf, is_core_, x, y,
                                             options_.variant);
             }
           });
-      stats.leaves_tested += scans;
       work.local() += stats;
     });
     pending_insert_stats_ += work.combine();
@@ -631,9 +724,13 @@ class StreamingEngine {
   Options options_;
   StreamConfig config_;
 
+  double cell_side_;               // eps-cell side of the delta index
   std::vector<Point<DIM>> base_;   // BVH-covered slots, sequence order
   std::vector<Point<DIM>> delta_;  // side-buffer slots appended after base
-  std::array<std::vector<float>, DIM> delta_axes_{};  // +inf padded SoA
+  // Delta cell index, sorted by (key, slot), and its merge buffers.
+  std::vector<CellEntry> delta_cells_;
+  std::vector<CellEntry> merged_cells_;
+  std::vector<CellEntry> batch_cells_;
   std::int64_t seq0_ = 0;          // sequence number of slot 0
   std::int64_t live_begin_ = 0;    // slots below this are retired
 

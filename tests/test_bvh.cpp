@@ -131,11 +131,14 @@ TEST(Bvh, MixedBoxAndPointPrimitives) {
 }
 
 struct RangeQueryParam {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   std::int64_t n;
   float extent;
   float eps;
   std::uint64_t seed;
   bool clustered;
+  std::uint8_t tail_padding[7] = {};
 };
 
 class BvhRangeQuery : public ::testing::TestWithParam<RangeQueryParam> {};

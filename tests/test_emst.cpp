@@ -59,10 +59,14 @@ double prim_mst_weight(const std::vector<Point<DIM>>& pts,
 }
 
 struct EmstCase {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   std::int64_t n;
   int threads;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
   bool clustered;
+  std::uint8_t tail_padding[7] = {};
 };
 
 class EmstGroundTruth : public ::testing::TestWithParam<EmstCase> {};
@@ -114,11 +118,17 @@ TEST_P(EmstGroundTruth, TreeSpansAllPoints) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EmstGroundTruth,
-                         ::testing::Values(EmstCase{2, 1, 1, false},
-                                           EmstCase{50, 1, 2, false},
-                                           EmstCase{300, 4, 3, false},
-                                           EmstCase{300, 8, 4, true},
-                                           EmstCase{1000, 8, 5, true}));
+                         ::testing::Values(
+                             EmstCase{.n = 2, .threads = 1, .seed = 1,
+                                      .clustered = false},
+                             EmstCase{.n = 50, .threads = 1, .seed = 2,
+                                      .clustered = false},
+                             EmstCase{.n = 300, .threads = 4, .seed = 3,
+                                      .clustered = false},
+                             EmstCase{.n = 300, .threads = 8, .seed = 4,
+                                      .clustered = true},
+                             EmstCase{.n = 1000, .threads = 8, .seed = 5,
+                                      .clustered = true}));
 
 TEST(Emst, EmptyAndSingle) {
   EXPECT_TRUE(euclidean_mst(std::vector<Point2>{}).empty());

@@ -65,11 +65,15 @@ void check_invariants(const std::vector<Point<DIM>>& points,
 }
 
 struct InvariantCase {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   int dataset;  // 0 ngsim, 1 porto, 2 road
+  std::uint32_t padding = 0;
   std::int64_t n;
   float eps;
   std::int32_t minpts;
   int threads;
+  std::uint32_t tail_padding = 0;
 };
 
 class LargeScaleInvariants : public ::testing::TestWithParam<InvariantCase> {
@@ -118,11 +122,16 @@ TEST_P(LargeScaleInvariants, Distributed) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, LargeScaleInvariants,
-    ::testing::Values(InvariantCase{0, 10000, 0.002f, 20, 8},
-                      InvariantCase{1, 10000, 0.005f, 10, 8},
-                      InvariantCase{2, 10000, 0.01f, 8, 8},
-                      InvariantCase{1, 20000, 0.003f, 5, 4},
-                      InvariantCase{2, 15000, 0.02f, 2, 8}));
+    ::testing::Values(InvariantCase{.dataset = 0, .n = 10000, .eps = 0.002f,
+                                    .minpts = 20, .threads = 8},
+                      InvariantCase{.dataset = 1, .n = 10000, .eps = 0.005f,
+                                    .minpts = 10, .threads = 8},
+                      InvariantCase{.dataset = 2, .n = 10000, .eps = 0.01f,
+                                    .minpts = 8, .threads = 8},
+                      InvariantCase{.dataset = 1, .n = 20000, .eps = 0.003f,
+                                    .minpts = 5, .threads = 4},
+                      InvariantCase{.dataset = 2, .n = 15000, .eps = 0.02f,
+                                    .minpts = 2, .threads = 8}));
 
 TEST(LargeScaleInvariants3D, CosmologyFriendsOfFriends) {
   testing::ScopedThreads threads(8);

@@ -86,8 +86,11 @@ TEST(KdTree, BytesUsedPositive) {
 }
 
 struct KdParam {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   std::int64_t n;
   float eps;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
 
@@ -128,10 +131,11 @@ TEST_P(KdTreeRangeQuery, MatchesBruteForce3D) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, KdTreeRangeQuery,
-                         ::testing::Values(KdParam{50, 0.2f, 31},
-                                           KdParam{400, 0.1f, 32},
-                                           KdParam{2000, 0.05f, 33},
-                                           KdParam{1000, 3.0f, 34}));
+                         ::testing::Values(
+                             KdParam{.n = 50, .eps = 0.2f, .seed = 31},
+                             KdParam{.n = 400, .eps = 0.1f, .seed = 32},
+                             KdParam{.n = 2000, .eps = 0.05f, .seed = 33},
+                             KdParam{.n = 1000, .eps = 3.0f, .seed = 34}));
 
 }  // namespace
 }  // namespace fdbscan

@@ -28,6 +28,7 @@
 #include <unistd.h>
 
 #include "exec/memory_tracker.h"
+#include "exec/thread_pool.h"
 #include "exec/trace.h"
 #include "obs/log.h"
 #include "obs/request_id.h"
@@ -535,6 +536,32 @@ TEST(ObsLog, ServiceEnvWarningsLandOnTheStructuredLog) {
   EXPECT_EQ(count_lines_containing(text, "service.env_ignored"), 1);
   EXPECT_NE(text.find("FDBSCAN_SERVICE_QUEUE_CAP"), std::string::npos);
   EXPECT_NE(text.find("banana"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsLog, ThreadCountEnvRejectsGarbageWithOneWarning) {
+  // Every value the strict parser rejects ("4x" must not mean 4) falls
+  // back to the core count and warns, once per variable.
+  const std::string path = temp_path("obs_log_threads_env");
+  std::remove(path.c_str());
+  log_init(path, LogLevel::kDebug);
+  const unsigned hc = std::thread::hardware_concurrency();
+  const int cores = hc > 0 ? static_cast<int>(hc) : 1;
+  for (const char* garbage :
+       {"4x", "abc", "", "0", "-2", "2.5", "3 ", "99999999999"}) {
+    ::setenv("FDBSCAN_NUM_THREADS", garbage, 1);
+    EXPECT_EQ(exec::detail::default_num_threads(), cores)
+        << "value \"" << garbage << "\"";
+  }
+  ::setenv("FDBSCAN_NUM_THREADS", "3", 1);
+  EXPECT_EQ(exec::detail::default_num_threads(), 3);
+  ::unsetenv("FDBSCAN_NUM_THREADS");
+  EXPECT_EQ(exec::detail::default_num_threads(), cores);
+  log_init("stderr", LogLevel::kWarn);
+  const std::string text = read_file(path);
+  EXPECT_EQ(count_lines_containing(text, "exec.env_ignored"), 1);
+  EXPECT_NE(text.find("FDBSCAN_NUM_THREADS"), std::string::npos);
+  EXPECT_NE(text.find("4x"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -127,10 +127,13 @@ TEST(Periodic, CornerWrappingCluster) {
 }
 
 struct PeriodicCase {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   std::int64_t n;
   float eps;
   std::int32_t minpts;
   int threads;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
 
@@ -151,11 +154,16 @@ TEST_P(PeriodicGroundTruth, MatchesPeriodicBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, PeriodicGroundTruth,
-    ::testing::Values(PeriodicCase{400, 0.05f, 5, 1, 1101},
-                      PeriodicCase{400, 0.05f, 2, 4, 1102},
-                      PeriodicCase{600, 0.03f, 4, 8, 1103},
-                      PeriodicCase{500, 0.08f, 10, 4, 1104},
-                      PeriodicCase{300, 0.02f, 3, 2, 1105}));
+    ::testing::Values(PeriodicCase{.n = 400, .eps = 0.05f, .minpts = 5,
+                                   .threads = 1, .seed = 1101},
+                      PeriodicCase{.n = 400, .eps = 0.05f, .minpts = 2,
+                                   .threads = 4, .seed = 1102},
+                      PeriodicCase{.n = 600, .eps = 0.03f, .minpts = 4,
+                                   .threads = 8, .seed = 1103},
+                      PeriodicCase{.n = 500, .eps = 0.08f, .minpts = 10,
+                                   .threads = 4, .seed = 1104},
+                      PeriodicCase{.n = 300, .eps = 0.02f, .minpts = 3,
+                                   .threads = 2, .seed = 1105}));
 
 TEST(Periodic, ThreeDimensionalCosmologyBox) {
   testing::ScopedThreads threads(4);

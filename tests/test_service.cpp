@@ -20,6 +20,7 @@
 #include "core/cluster.h"
 #include "core/validate.h"
 #include "exec/profile.h"
+#include "obs/env.h"
 #include "test_utils.h"
 
 namespace fdbscan::service {
@@ -77,7 +78,7 @@ TEST(ErrorCode, ServiceCodesSpellTheirCondition) {
 // --- Configuration -------------------------------------------------------
 
 TEST(ServiceConfig, StrictEnvParseRejectsEverythingButPositiveInts) {
-  using detail::parse_positive_env_int;
+  using obs::parse_positive_env_int;
   EXPECT_EQ(parse_positive_env_int("5"), 5);
   EXPECT_EQ(parse_positive_env_int("64"), 64);
   EXPECT_EQ(parse_positive_env_int("2147483647"),

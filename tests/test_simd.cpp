@@ -25,21 +25,8 @@
 namespace fdbscan {
 namespace {
 
+using testing::ScopedBackend;
 using testing::ScopedThreads;
-
-/// Restores the backend selection on scope exit (the flag is global).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(bool on) : previous_(simd::enabled()) {
-    simd::set_enabled(on);
-  }
-  ~ScopedBackend() { simd::set_enabled(previous_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// Labels with cluster ids renumbered by first appearance, so two
 /// clusterings that differ only in id assignment order compare equal.

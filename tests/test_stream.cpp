@@ -2,15 +2,23 @@
 // incremental insert/expire path against from-scratch runs on the same
 // logical point set, rebuild amortization (appends below the threshold
 // leave index_rebuilds at zero), lazy expiry, sequence-number stability
-// across rebuilds, and cancellation rollback.
+// across rebuilds, cancellation rollback, and the delta buffer's
+// eps-cell index (adversarial geometry, probe work independent of
+// far-away delta points).
 #include "stream/streaming_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
+#include <random>
 #include <span>
 #include <string>
 #include <thread>
@@ -22,7 +30,25 @@
 #include "data/generators.h"
 #include "data/sliding_window.h"
 #include "exec/cancel.h"
+#include "exec/memory_tracker.h"
 #include "test_utils.h"
+
+// Heap allocations made by the calling thread, counted by the global
+// operator new below (StreamDeltaIndex.WarmAppendsAllocateNothing). The
+// replacements are kept out of line so GCC does not pair an inlined
+// malloc() or free() with a new or delete expression and warn about a
+// mismatch that is not there.
+thread_local std::int64_t t_allocations = 0;
+
+[[gnu::noinline]] void* operator new(std::size_t bytes) {
+  ++t_allocations;
+  if (void* p = std::malloc(bytes == 0 ? 1 : bytes)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace fdbscan::stream {
 namespace {
@@ -343,6 +369,342 @@ TEST(StreamingEngine, CancelledInsertRollsTheBatchBack) {
                                  points.begin() + static_cast<std::ptrdiff_t>(n));
   expect_equivalent(live, params, Options{}, engine.query(),
                     cancelled ? "rolled-back" : "completed");
+}
+
+// --- Delta cell index: adversarial geometry ------------------------------
+//
+// The delta side buffer is probed through an eps-cell index: a probe only
+// tests the 3^DIM cells around the point. These inputs sit where a cell
+// grid can go wrong — pairs exactly eps apart straddling cell boundaries
+// on every axis (negative coordinates and -0.0 included), duplicates,
+// coordinates near +-1e30 with eps = 1e-7 (clamped cell coordinates),
+// eps^2 underflowing to 0, and eps wider than the domain (eps^2
+// overflowing float included) — and
+// every query along a scripted insert / rollback / expire / rebuild
+// sequence must match a from-scratch fdbscan, with its core flags and
+// distance_computations bit-identical across worker counts and backends.
+
+template <int DIM>
+struct AdversarialCase {
+  const char* name;
+  std::vector<Point<DIM>> points;
+  Parameters params;
+};
+
+template <int DIM>
+Point<DIM> splat(float v) {
+  Point<DIM> p;
+  for (int d = 0; d < DIM; ++d) p[d] = v;
+  return p;
+}
+
+/// A lattice of spacing `eps` over [-4, 4] eps per axis (0 written as
+/// -0.0 on odd rows), plus, per axis, pairs (x, x + eps) with x swept in
+/// eps/7 steps across [-30, 30] eps/7, so every cell boundary near the
+/// origin falls between the two points of some pair.
+template <int DIM>
+std::vector<Point<DIM>> straddle_points(float eps) {
+  std::vector<Point<DIM>> out;
+  std::array<int, DIM> k{};
+  k.fill(-4);
+  for (;;) {
+    Point<DIM> p;
+    for (int d = 0; d < DIM; ++d) {
+      p[d] = static_cast<float>(k[static_cast<std::size_t>(d)]) * eps;
+      if (k[static_cast<std::size_t>(d)] == 0 && (k[0] & 1) != 0) {
+        p[d] = -0.0f;
+      }
+    }
+    out.push_back(p);
+    int d = 0;
+    while (d < DIM && k[static_cast<std::size_t>(d)] == 4) {
+      k[static_cast<std::size_t>(d)] = -4;
+      ++d;
+    }
+    if (d == DIM) break;
+    ++k[static_cast<std::size_t>(d)];
+  }
+  for (int axis = 0; axis < DIM; ++axis) {
+    for (int i = -30; i <= 30; ++i) {
+      const float x = static_cast<float>(i) * eps / 7.0f;
+      Point<DIM> a = splat<DIM>(-20.0f * eps * static_cast<float>(axis + 1));
+      a[axis] = x;
+      Point<DIM> b = a;
+      b[axis] = x + eps;
+      out.push_back(a);
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+template <int DIM>
+std::vector<AdversarialCase<DIM>> adversarial_cases() {
+  std::vector<AdversarialCase<DIM>> cases;
+  // Exactly representable eps: lattice neighbors sit at exactly eps.
+  cases.push_back({"straddle-exact", straddle_points<DIM>(0.5f), {0.5f, 3}});
+  // Inexact eps: whether a lattice pair passes depends on float rounding.
+  cases.push_back({"straddle-inexact", straddle_points<DIM>(0.1f), {0.1f, 3}});
+
+  std::vector<Point<DIM>> dup;
+  const float e = 0.05f;
+  for (int i = 0; i < 40; ++i) dup.push_back(splat<DIM>(0.0f));
+  for (int i = 0; i < 25; ++i) {
+    Point<DIM> p = splat<DIM>(0.0f);
+    p[0] = e;
+    dup.push_back(p);
+  }
+  for (int i = 0; i < 10; ++i) {
+    Point<DIM> p = splat<DIM>(-0.0f);
+    p[DIM - 1] = -e;
+    dup.push_back(p);
+  }
+  for (int i = 0; i < 3; ++i) dup.push_back(splat<DIM>(1.0f));
+  const auto noise = fdbscan::testing::random_points<DIM>(40, 0.3f, 61);
+  dup.insert(dup.end(), noise.begin(), noise.end());
+  cases.push_back({"duplicates", dup, {e, 4}});
+
+  std::vector<Point<DIM>> huge;
+  const float big = 1e30f;
+  const float tiny = 1e-7f;
+  for (const float sx : {big, -big}) {
+    for (const float sy : {big, -big}) {
+      Point<DIM> p = splat<DIM>(sy);
+      p[0] = sx;
+      for (int i = 0; i < 3; ++i) huge.push_back(p);
+      p[0] = std::nextafter(sx, 0.0f);
+      huge.push_back(p);
+    }
+  }
+  for (int i = -6; i <= 6; ++i) {
+    for (int j = -2; j <= 2; ++j) {
+      Point<DIM> p = splat<DIM>(static_cast<float>(j) * tiny);
+      p[0] = static_cast<float>(i) * tiny;
+      huge.push_back(p);
+    }
+  }
+  cases.push_back({"near-1e30", huge, {tiny, 2}});
+
+  // eps^2 underflows to 0 in float: a pair passes when its squared
+  // differences round to 0, i.e. up to ~2.6e-23 apart per axis.
+  std::vector<Point<DIM>> under;
+  const float step = 1e-23f;
+  for (int i = -8; i <= 8; ++i) {
+    for (int j = -1; j <= 1; ++j) {
+      Point<DIM> p = splat<DIM>(static_cast<float>(j) * step);
+      p[0] = i == 0 ? -0.0f : static_cast<float>(i) * step;
+      under.push_back(p);
+    }
+  }
+  cases.push_back({"eps-squared-underflows", under, {1e-30f, 3}});
+
+  const auto unit = fdbscan::testing::random_points<DIM>(150, 1.0f, 67);
+  cases.push_back({"eps-wider-than-domain", unit, {4.0f, 5}});
+  // eps^2 overflows float: every pair is a neighbor.
+  std::vector<Point<DIM>> spread = unit;
+  spread.push_back(splat<DIM>(1e19f));
+  spread.push_back(splat<DIM>(-1e19f));
+  cases.push_back({"eps-squared-overflows", spread, {1e20f, 5}});
+  return cases;
+}
+
+/// Per-query observations that must not depend on worker count or backend.
+struct QueryTrace {
+  std::vector<std::int64_t> distance_computations;
+  std::vector<std::vector<std::uint8_t>> core;
+  bool operator==(const QueryTrace&) const = default;
+};
+
+template <int DIM>
+bool same_bits(const std::vector<Point<DIM>>& a,
+               const std::vector<Point<DIM>>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Point<DIM>)) == 0);
+}
+
+/// Queries `engine` and checks it against a from-scratch fdbscan on the
+/// expected live set; records the query in `trace`.
+template <int DIM>
+void check_query(StreamingEngine<DIM>& engine,
+                 const std::vector<Point<DIM>>& live, const Parameters& params,
+                 const std::string& where, QueryTrace& trace) {
+  ASSERT_TRUE(same_bits(engine.live_points(), live)) << where;
+  const Clustering streamed = engine.query();
+  const Clustering ref = fdbscan(live, params);
+  const auto check = equivalent_clusterings(live, params, ref, streamed);
+  EXPECT_TRUE(check.ok) << where << ": " << check.message;
+  trace.distance_computations.push_back(streamed.distance_computations);
+  trace.core.push_back(streamed.is_core);
+}
+
+/// The scripted sequence for one case. Phase 1 (rebuild_fraction 2, so
+/// expiry can run past the base into the delta): inserts into the delta,
+/// an expire that retires delta slots, an insert absorbed next to them,
+/// then an expire that trips a rebuild and an insert into the emptied
+/// delta. Phase 2 (default threshold, memory budget): an insert that
+/// trips a rebuild whose eager BVH build runs out of budget, so the next
+/// insert fails in its absorb and is rolled back; then that insert is
+/// retried with budget.
+template <int DIM>
+QueryTrace run_adversarial(const AdversarialCase<DIM>& c) {
+  QueryTrace trace;
+  std::vector<Point<DIM>> pts = c.points;
+  std::mt19937 rng(71);
+  std::shuffle(pts.begin(), pts.end(), rng);
+  const auto n = static_cast<std::ptrdiff_t>(pts.size());
+  const auto cut = [&](int pct) { return pts.begin() + n * pct / 100; };
+  const auto span_of = [](auto first, auto last) {
+    return std::span<const Point<DIM>>(&*first,
+                                       static_cast<std::size_t>(last - first));
+  };
+  const std::string name = c.name;
+  {
+    StreamConfig config;
+    config.rebuild_fraction = 2.0f;
+    StreamingEngine<DIM> engine(std::vector<Point<DIM>>(pts.begin(), cut(10)),
+                                c.params, Options{}, config);
+    check_query(engine, {pts.begin(), cut(10)}, c.params, name + " base",
+                trace);
+    (void)engine.insert(span_of(cut(10), cut(40)));
+    check_query(engine, {pts.begin(), cut(40)}, c.params, name + " insert",
+                trace);
+    const std::int64_t into_delta = n * 15 / 100;
+    (void)engine.expire(into_delta);
+    EXPECT_EQ(engine.counters().index_rebuilds, 1) << name;
+    check_query(engine, {pts.begin() + into_delta, cut(40)}, c.params,
+                name + " expire-into-delta", trace);
+    (void)engine.insert(span_of(cut(40), cut(50)));
+    check_query(engine, {pts.begin() + into_delta, cut(50)}, c.params,
+                name + " insert-next-to-retired", trace);
+    const std::int64_t rebuilds = engine.counters().index_rebuilds;
+    (void)engine.expire(n * 45 / 100);
+    EXPECT_EQ(engine.counters().index_rebuilds, rebuilds + 1) << name;
+    check_query(engine, {cut(45), cut(50)}, c.params, name + " rebuild",
+                trace);
+    (void)engine.insert(span_of(cut(50), cut(60)));
+    check_query(engine, {cut(45), cut(60)}, c.params,
+                name + " insert-after-rebuild", trace);
+  }
+  {
+    exec::MemoryTracker tracker(std::size_t{1} << 30);
+    StreamConfig config;
+    config.engine.memory = &tracker;
+    StreamingEngine<DIM> engine(std::vector<Point<DIM>>(cut(60), cut(80)),
+                                c.params, Options{}, config);
+    check_query(engine, {cut(60), cut(80)}, c.params, name + " base-2",
+                trace);
+    // Leave room for nothing but the current BVH.
+    const std::size_t hog = tracker.budget() - tracker.current();
+    tracker.charge(hog);
+    (void)engine.insert(span_of(cut(80), cut(90)));  // trips a rebuild
+    EXPECT_THROW((void)engine.insert(span_of(cut(90), pts.end())),
+                 exec::OutOfDeviceMemory)
+        << name;
+    EXPECT_EQ(engine.size(), cut(90) - cut(60)) << name;
+    tracker.release(hog);
+    check_query(engine, {cut(60), cut(90)}, c.params, name + " rollback",
+                trace);
+    // The rolled-back slots are reused by a different batch.
+    (void)engine.insert(span_of(cut(10), cut(20)));
+    std::vector<Point<DIM>> live(cut(60), cut(90));
+    live.insert(live.end(), cut(10), cut(20));
+    check_query(engine, live, c.params, name + " insert-after-rollback",
+                trace);
+  }
+  return trace;
+}
+
+template <int DIM>
+void sweep_adversarial() {
+  for (const AdversarialCase<DIM>& c : adversarial_cases<DIM>()) {
+    QueryTrace first;
+    bool have_first = false;
+    for (const int threads : {1, 2, 8}) {
+      for (const bool simd_on : {true, false}) {
+        ScopedThreads scoped_threads(threads);
+        fdbscan::testing::ScopedBackend backend(simd_on);
+        const QueryTrace trace = run_adversarial<DIM>(c);
+        if (!have_first) {
+          first = trace;
+          have_first = true;
+        } else {
+          EXPECT_TRUE(trace == first)
+              << c.name << ": core flags or distance_computations differ at "
+              << threads << " workers, simd " << simd_on;
+        }
+      }
+    }
+    EXPECT_EQ(first.core.size(), 9u) << c.name;
+  }
+}
+
+TEST(StreamDeltaIndex, Adversarial2dMatchesFromScratchDeterministically) {
+  sweep_adversarial<2>();
+}
+
+TEST(StreamDeltaIndex, Adversarial3dMatchesFromScratchDeterministically) {
+  sweep_adversarial<3>();
+}
+
+TEST(StreamDeltaIndex, FarAwayDeltaPointsCostNoDistanceComputations) {
+  // A delta probe tests only the cells around the probe point, so the
+  // work of inserting a batch does not grow with unrelated delta points.
+  const auto points =
+      fdbscan::testing::clustered_points<2>(2000, 5, 1.0f, 0.02f, 73);
+  const std::vector<Point2> base(points.begin(), points.begin() + 1936);
+  const std::span<const Point2> batch(points.data() + 1936, 64);
+  std::vector<Point2> far =
+      fdbscan::testing::random_points<2>(10000, 1.0f, 79);
+  for (Point2& p : far) p[0] += 100.0f;
+  const Parameters params{0.05f, 5};
+  StreamConfig config;
+  config.rebuild_fraction = 100.0f;  // keep every insert in the delta
+
+  StreamingEngine<2> plain(base, params, Options{}, config);
+  (void)plain.query();
+  (void)plain.insert(batch);
+  const Clustering q_plain = plain.query();
+
+  StreamingEngine<2> crowded(base, params, Options{}, config);
+  (void)crowded.query();
+  (void)crowded.insert(far);
+  (void)crowded.query();
+  (void)crowded.insert(batch);
+  const Clustering q_crowded = crowded.query();
+  EXPECT_EQ(crowded.counters().index_rebuilds, 1);
+  EXPECT_GT(q_plain.distance_computations, 0);
+  EXPECT_EQ(q_crowded.distance_computations, q_plain.distance_computations);
+}
+
+TEST(StreamDeltaIndex, WarmAppendsAllocateNothing) {
+  // A sliding window that is never queried: the union-find stays
+  // invalid, so an insert is the delta append plus the rebuild check.
+  // The index and its merge buffer swap roles on every append, so each
+  // reaches full size within two rebuild cycles; after that, appends
+  // that do not rebuild must not touch the heap.
+  const std::int64_t window = 2000;
+  const std::int64_t k = 100;
+  const auto points =
+      fdbscan::testing::random_points<2>(window + 60 * k, 1.0f, 83);
+  StreamingEngine<2> engine(
+      std::vector<Point2>(points.begin(), points.begin() + window),
+      Parameters{0.05f, 5});
+  int warm_appends = 0;
+  for (std::int64_t next = window; next + k <= std::ssize(points);
+       next += k) {
+    (void)engine.expire(next + k - window);
+    const std::int64_t rebuilds = engine.counters().index_rebuilds;
+    const std::int64_t before = t_allocations;
+    (void)engine.insert(std::span<const Point2>(points.data() + next,
+                                                static_cast<std::size_t>(k)));
+    const std::int64_t allocations = t_allocations - before;
+    if (rebuilds >= 3 && engine.counters().index_rebuilds == rebuilds) {
+      EXPECT_EQ(allocations, 0) << "append at seq " << next;
+      ++warm_appends;
+    }
+  }
+  EXPECT_GT(warm_appends, 10);
 }
 
 }  // namespace

@@ -43,8 +43,11 @@ TEST(UniformGridIndex, BytesUsedPositive) {
 }
 
 struct GridIndexParam {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   std::int64_t n;
   float eps;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
 
@@ -91,11 +94,12 @@ TEST_P(UniformGridIndexQuery, BoundaryQueriesStayInGrid) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, UniformGridIndexQuery,
-                         ::testing::Values(GridIndexParam{64, 0.2f, 41},
-                                           GridIndexParam{500, 0.07f, 42},
-                                           GridIndexParam{2000, 0.03f, 43},
-                                           GridIndexParam{300, 1.5f, 44}));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, UniformGridIndexQuery,
+    ::testing::Values(GridIndexParam{.n = 64, .eps = 0.2f, .seed = 41},
+                      GridIndexParam{.n = 500, .eps = 0.07f, .seed = 42},
+                      GridIndexParam{.n = 2000, .eps = 0.03f, .seed = 43},
+                      GridIndexParam{.n = 300, .eps = 1.5f, .seed = 44}));
 
 }  // namespace
 }  // namespace fdbscan

@@ -115,9 +115,12 @@ TEST(UnionFindView, FlattenIsIdempotent) {
 
 // --- Concurrent stress: random edge list, compare against sequential ---
 struct StressParam {
+  // gtest names each instance after this struct's raw bytes, so padding
+  // is explicit and zeroed to keep the test names deterministic.
   int threads;
   std::int32_t n;
   std::int32_t edges;
+  std::uint32_t padding = 0;
   std::uint64_t seed;
 };
 
@@ -159,12 +162,14 @@ TEST_P(UnionFindStress, MatchesSequentialPartition) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, UnionFindStress,
-    ::testing::Values(StressParam{1, 1000, 500, 1},
-                      StressParam{4, 1000, 500, 2},
-                      StressParam{8, 5000, 20000, 3},
-                      StressParam{8, 100, 5000, 4},   // heavy contention
-                      StressParam{3, 20000, 19999, 5},
-                      StressParam{8, 50000, 400000, 6}));
+    ::testing::Values(
+        StressParam{.threads = 1, .n = 1000, .edges = 500, .seed = 1},
+        StressParam{.threads = 4, .n = 1000, .edges = 500, .seed = 2},
+        StressParam{.threads = 8, .n = 5000, .edges = 20000, .seed = 3},
+        StressParam{.threads = 8, .n = 100, .edges = 5000,
+                    .seed = 4},  // heavy contention
+        StressParam{.threads = 3, .n = 20000, .edges = 19999, .seed = 5},
+        StressParam{.threads = 8, .n = 50000, .edges = 400000, .seed = 6}));
 
 TEST(UnionFindConcurrent, ParallelClaimsHaveUniqueWinners) {
   testing::ScopedThreads threads(8);

@@ -6,6 +6,7 @@
 #include <random>
 #include <vector>
 
+#include "exec/simd.h"
 #include "exec/thread_pool.h"
 #include "geometry/point.h"
 
@@ -25,6 +26,22 @@ class ScopedThreads {
 
  private:
   int previous_;
+};
+
+/// Selects the SIMD or scalar kernel backend (exec/simd.h) for a
+/// section of a test, restoring the previous selection afterwards (the
+/// flag is global).
+class ScopedBackend {
+ public:
+  explicit ScopedBackend(bool on) : previous_(simd::enabled()) {
+    simd::set_enabled(on);
+  }
+  ~ScopedBackend() { simd::set_enabled(previous_); }
+  ScopedBackend(const ScopedBackend&) = delete;
+  ScopedBackend& operator=(const ScopedBackend&) = delete;
+
+ private:
+  bool previous_;
 };
 
 /// Uniform points in [0, extent]^DIM.
