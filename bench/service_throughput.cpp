@@ -50,7 +50,6 @@
 #include "common.h"
 #include "core/validate.h"
 #include "data/generators.h"
-#include "exec/graph/task_graph.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "service/service.h"
@@ -63,7 +62,6 @@ using service::ClusterService;
 using service::ServiceConfig;
 using service::ServiceMetrics;
 using service::ServiceResult;
-using service::SubmitOptions;
 
 std::shared_ptr<const std::vector<Point2>> make_dataset(std::int64_t n,
                                                         std::uint64_t seed) {
@@ -167,7 +165,7 @@ void register_all() {
         ClusterService svc(config);
         const auto a = make_dataset(n, 42);
         const auto b = make_dataset(n, 43);
-        SubmitOptions plain;
+        RequestSpec plain;
         plain.method = Method::kFdbscan;  // eps-independent point BVH
         // Closed loop: one wave of (datasets x dispatchers) requests in
         // flight at a time, well under queue capacity — a correctly
@@ -177,10 +175,10 @@ void register_all() {
         for (int wave = 0; wave < kWaves; ++wave) {
           std::vector<std::future<ServiceResult>> inflight;
           for (int i = 0; i < 2; ++i) {
-            Parameters sweep = params;
-            sweep.minpts = 5 + 5 * i + wave;  // parameter sweep, warm index
-            inflight.push_back(svc.submit<2>("a", a, sweep, plain));
-            inflight.push_back(svc.submit<2>("b", b, sweep, plain));
+            plain.params = params;
+            plain.params.minpts = 5 + 5 * i + wave;  // sweep, warm index
+            inflight.push_back(svc.submit<2>("a", a, plain));
+            inflight.push_back(svc.submit<2>("b", b, plain));
           }
           for (auto& f : inflight) {
             if (f.get().has_value()) ++requests;
@@ -219,9 +217,10 @@ void register_all() {
         const auto big = make_dataset(n_big, 42);
         const auto tiny = make_dataset(64, 7);
         auto blocker_token = std::make_shared<exec::CancelToken>();
-        SubmitOptions blocking;
+        RequestSpec blocking;
+        blocking.params = params;
         blocking.token = blocker_token;
-        auto blocker = svc.submit<2>("blocker", big, params, blocking);
+        auto blocker = svc.submit<2>("blocker", big, blocking);
         wait_until(svc, [](const ServiceMetrics& m) {
           return m.active == 1 && m.queued == 0;
         });
@@ -230,7 +229,8 @@ void register_all() {
         constexpr int kExtra = 6;
         std::vector<std::future<ServiceResult>> burst;
         for (int i = 0; i < config.queue_capacity + kExtra; ++i) {
-          burst.push_back(svc.submit<2>("tiny", tiny, params));
+          burst.push_back(
+              svc.submit<2>("tiny", tiny, RequestSpec{.params = params}));
         }
         int rejected = 0;
         for (auto& f : burst) {
@@ -277,12 +277,12 @@ void register_all() {
             // The service (and its launches) must be gone before the
             // next thread-count change — hence the scope.
             ClusterService svc;
-            SubmitOptions submit;
+            RequestSpec submit;
+            submit.params = sharded_params;
             submit.method = Method::kFdbscan;
             for (std::int32_t shards : {1, 2, 4}) {
               submit.shards = shards;
-              const auto result =
-                  svc.submit<2>("ds", pts, sharded_params, submit).get();
+              const auto result = svc.submit<2>("ds", pts, submit).get();
               ++checked;
               const bool ok =
                   reference.has_value() && result.has_value() &&
@@ -327,7 +327,6 @@ void register_all() {
         const Parameters gparams{0.05f, 10};
         const auto pts = make_dataset(n, 45);
         const int env_threads = exec::num_threads();
-        const bool graph_was = exec::graph::enabled();
         std::int64_t checked = 0;
         std::int64_t failures = 0;
         std::int64_t densebox_runs = 0;
@@ -344,16 +343,17 @@ void register_all() {
           for (const Case& c : cases) {
             std::optional<Clustering> by_mode[2];
             for (int mode = 0; mode < 2; ++mode) {
-              // Both the service dispatch knob and the global fallback
-              // the sharded path consults, so mode 0 is pure fork-join.
-              exec::graph::set_enabled(mode == 1);
+              // The service's dispatch mode alone decides where the
+              // staged graph runs: mode 0 runs it serially on the
+              // dispatcher, sharded requests included.
               ServiceConfig config;
               config.graph = (mode == 1);
               ClusterService svc(config);
-              SubmitOptions submit;
+              RequestSpec submit;
+              submit.params = gparams;
               submit.method = c.method;
               submit.shards = c.shards;
-              auto r = svc.submit<2>("ds", pts, gparams, submit).get();
+              auto r = svc.submit<2>("ds", pts, submit).get();
               svc.wait_idle();
               if (r.has_value()) by_mode[mode].emplace(std::move(*r));
             }
@@ -374,7 +374,6 @@ void register_all() {
             if (c.shards > 1) ++sharded_runs;
           }
         }
-        exec::graph::set_enabled(graph_was);
         exec::set_num_threads(env_threads);
         state.counters["graph_equiv_checked"] = static_cast<double>(checked);
         state.counters["graph_equiv_failures"] = static_cast<double>(failures);
@@ -406,17 +405,17 @@ void register_all() {
         const auto small =
             make_dataset(std::max<std::int64_t>(sat_n / 4, 64), 46);
         const auto large = make_dataset(sat_n, 47);
-        const bool graph_was = exec::graph::enabled();
         constexpr int kInflight = 8;
         constexpr int kWaves = 6;
-        SubmitOptions plain;
+        RequestSpec plain;
+        plain.params = sat_params;
         plain.method = Method::kFdbscan;
         std::int64_t total_done = 0;
         const auto measure = [&](ClusterService& svc) {
           // Warmup wave: both datasets' indexes built outside the
           // timed window.
-          (void)svc.submit<2>("small", small, sat_params, plain).get();
-          (void)svc.submit<2>("large", large, sat_params, plain).get();
+          (void)svc.submit<2>("small", small, plain).get();
+          (void)svc.submit<2>("large", large, plain).get();
           svc.wait_idle();
           const auto t0 = std::chrono::steady_clock::now();
           std::int64_t done = 0;
@@ -425,10 +424,10 @@ void register_all() {
             inflight.reserve(kInflight);
             for (int i = 0; i < kInflight; ++i) {
               const bool big = (i % 2) == 0;
-              Parameters p = sat_params;
-              p.minpts = 5 + i;  // mixed parameters, warm index
+              RequestSpec spec = plain;
+              spec.params.minpts = 5 + i;  // mixed parameters, warm index
               inflight.push_back(svc.submit<2>(big ? "large" : "small",
-                                               big ? large : small, p, plain));
+                                               big ? large : small, spec));
             }
             for (auto& f : inflight) {
               if (f.get().has_value()) ++done;
@@ -445,7 +444,6 @@ void register_all() {
         double qps[2] = {0.0, 0.0};
         for (int rep = 0; rep < 3; ++rep) {
           for (int mode = 0; mode < 2; ++mode) {
-            exec::graph::set_enabled(mode == 1);
             ServiceConfig config;
             config.dispatchers = 1;
             config.queue_capacity = 64;
@@ -454,7 +452,6 @@ void register_all() {
             qps[mode] = std::max(qps[mode], measure(svc));
           }
         }
-        exec::graph::set_enabled(graph_was);
         state.counters["forkjoin_qps"] = qps[0];
         state.counters["graph_qps"] = qps[1];
         state.counters["saturation_requests"] =
@@ -476,9 +473,10 @@ void register_all() {
         ClusterService svc;
         const auto big = make_dataset(n_big, 42);
         auto token = std::make_shared<exec::CancelToken>();
-        SubmitOptions cancellable;
+        RequestSpec cancellable;
+        cancellable.params = params;
         cancellable.token = token;
-        auto doomed = svc.submit<2>("big", big, params, cancellable);
+        auto doomed = svc.submit<2>("big", big, cancellable);
         wait_until(svc, [](const ServiceMetrics& m) { return m.active == 1; });
         // Let kernels make progress, then measure raise -> resolution.
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -509,9 +507,10 @@ void register_all() {
         const auto big = make_dataset(n_big, 42);
         // Already-elapsed budget: rejected on the submit path, before any
         // queue slot or kernel.
-        SubmitOptions expired;
+        RequestSpec expired;
+        expired.params = params;
         expired.deadline_ms = 0.0;
-        const auto fast = svc.submit<2>("big", big, params, expired).get();
+        const auto fast = svc.submit<2>("big", big, expired).get();
         const bool fast_fail =
             !fast.has_value() &&
             fast.error().code == ErrorCode::kDeadlineExceeded;
@@ -520,14 +519,16 @@ void register_all() {
         // queued behind a blocker held for much longer than that is
         // watchdog-cancelled no matter how fast the substrate is.
         auto blocker_token = std::make_shared<exec::CancelToken>();
-        SubmitOptions blocking;
+        RequestSpec blocking;
+        blocking.params = params;
         blocking.token = blocker_token;
-        auto blocker = svc.submit<2>("blocker", big, params, blocking);
+        auto blocker = svc.submit<2>("blocker", big, blocking);
         wait_until(svc,
                    [](const ServiceMetrics& m) { return m.active == 1; });
-        SubmitOptions strict;
+        RequestSpec strict;
+        strict.params = params;
         strict.deadline_ms = 1.0;
-        auto late = svc.submit<2>("big", big, params, strict);
+        auto late = svc.submit<2>("big", big, strict);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         blocker_token->request_cancel();
         const auto late_result = late.get();

@@ -104,6 +104,21 @@ struct AutoSelection {
   double estimated_dense_fraction = 0.0;
 };
 
+/// The selection policy alone: the subsample estimate and the threshold
+/// decision, with `clustering` left empty. fdbscan_auto and the
+/// service's staging of Method::kAuto requests both decide through it.
+template <int DIM>
+[[nodiscard]] AutoSelection<DIM> auto_select(
+    const std::vector<Point<DIM>>& points, const Parameters& params,
+    const AutoSelectConfig& config = {}) {
+  AutoSelection<DIM> selection;
+  selection.estimated_dense_fraction =
+      estimate_dense_fraction(points, params, config);
+  selection.used_densebox =
+      selection.estimated_dense_fraction >= config.densebox_threshold;
+  return selection;
+}
+
 /// Heuristic dispatch running on an existing Engine: FDBSCAN-DenseBox
 /// when the dense-cell population justifies the grid overhead, plain
 /// FDBSCAN otherwise. Results are identical either way (both implement
@@ -113,11 +128,7 @@ template <int DIM>
 [[nodiscard]] AutoSelection<DIM> fdbscan_auto(
     Engine<DIM>& engine, const Parameters& params, const Options& options = {},
     const AutoSelectConfig& config = {}) {
-  AutoSelection<DIM> result;
-  result.estimated_dense_fraction =
-      estimate_dense_fraction(engine.points(), params, config);
-  result.used_densebox =
-      result.estimated_dense_fraction >= config.densebox_threshold;
+  AutoSelection<DIM> result = auto_select(engine.points(), params, config);
   result.clustering = result.used_densebox
                           ? engine.run_densebox(params, options)
                           : engine.run(params, options);

@@ -30,6 +30,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -115,9 +116,21 @@ class Engine {
         workspace_(kNumSlots, config.memory),
         pending_soa_(std::move(soa)) {}
 
+  /// A sibling over `warm`'s points sharing its built point BVH, which
+  /// is immutable, so both may run at once (DESIGN.md §9). Workspace,
+  /// grid cache and counters are its own; the BVH stays charged to
+  /// `warm` alone.
+  Engine(const Engine& warm, EngineConfig config)
+      : points_(warm.points_),
+        config_(config),
+        workspace_(kNumSlots, config.memory),
+        bvh_(warm.bvh_) {
+    assert(bvh_ != nullptr && "sibling of an engine with no index");
+  }
+
   ~Engine() {
     if (config_.memory) {
-      if (bvh_) config_.memory->release(bvh_bytes_);
+      if (bvh_bytes_ > 0) config_.memory->release(bvh_bytes_);
       for (const auto& entry : grid_cache_) {
         config_.memory->release(entry->tracked_bytes);
       }
@@ -638,7 +651,7 @@ class Engine {
       if (pending_soa_.size() != static_cast<std::int64_t>(points_->size())) {
         pending_soa_.assign(*points_);
       }
-      bvh_ = std::make_unique<Bvh<DIM>>(pending_soa_.view());
+      bvh_ = std::make_shared<const Bvh<DIM>>(pending_soa_.view());
       pending_soa_ = PointsStore<DIM>{};
       ++counters_.index_builds;
       bvh_bytes_ = bvh_->bytes_used();
@@ -647,6 +660,7 @@ class Engine {
           config_.memory->charge(bvh_bytes_);
         } catch (...) {
           bvh_.reset();  // over budget: unwind like a failed cudaMalloc
+          bvh_bytes_ = 0;
           throw;
         }
       }
@@ -759,7 +773,9 @@ class Engine {
   EngineConfig config_;
   exec::Workspace workspace_;
   PointsStore<DIM> pending_soa_;   // build-only scratch, freed after use
-  std::unique_ptr<Bvh<DIM>> bvh_;  // lazily built: the first run pays it
+  // Lazily built: the first run pays it. Shared with sibling engines,
+  // which charge none of it (bvh_bytes_ stays 0 there).
+  std::shared_ptr<const Bvh<DIM>> bvh_;
   std::size_t bvh_bytes_ = 0;
   std::vector<std::unique_ptr<GridEntry>> grid_cache_;
   std::uint64_t use_clock_ = 0;

@@ -28,9 +28,9 @@ GraphMetrics& graph_metrics() {
   return m;
 }
 
-/// Marks graph runner threads (and the inline-execution path) so run()
-/// can detect re-entrant submission and execute inline instead of
-/// blocking a runner on its own pool.
+/// Marks graph runner threads so run() can detect re-entrant
+/// submission and execute inline instead of blocking a runner on its
+/// own pool.
 thread_local bool t_is_runner = false;
 
 }  // namespace
@@ -156,7 +156,7 @@ void GraphScheduler::runner_loop(int index) {
       ready_.pop_front();
     }
     graph_metrics().ready_depth.add(-1);
-    run_node(item.run, item.node, nullptr);
+    run_node(item.run, item.node);
   }
 }
 
@@ -174,23 +174,22 @@ void GraphScheduler::enqueue(std::vector<ReadyItem> items) {
   }
 }
 
-void GraphScheduler::run_node(const std::shared_ptr<detail::GraphRun>& run,
-                              NodeId id, std::vector<NodeId>* local_ready) {
-  TaskGraph::Node& node = run->nodes[id];
+void GraphScheduler::execute(detail::GraphRun& run, NodeId id) {
+  TaskGraph::Node& node = run.nodes[id];
 
   // Re-establish the submitting request's ambient context on this
-  // runner: rid for span/log attribution, CancelToken for the per-node
+  // thread: rid for span/log attribution, CancelToken for the per-node
   // poll and the per-chunk polls inside the body's kernels.
   const std::uint64_t prev_rid = trace_request_id();
-  trace_set_request_id(run->rid);
+  trace_set_request_id(run.rid);
   {
     std::optional<CancelScope> cancel;
-    if (run->token != nullptr) cancel.emplace(*run->token);
+    if (run.token != nullptr) cancel.emplace(*run.token);
 
     bool skip = false;
     {
-      std::lock_guard<std::mutex> guard(run->mutex);
-      skip = run->failed;
+      std::lock_guard<std::mutex> guard(run.mutex);
+      skip = run.failed;
     }
     const std::int64_t begin_ns = trace_now_ns();
     bool ran = false;
@@ -200,13 +199,13 @@ void GraphScheduler::run_node(const std::shared_ptr<detail::GraphRun>& run,
         node.fn();
         ran = true;
       } catch (const CancelledError&) {
-        std::lock_guard<std::mutex> guard(run->mutex);
-        run->failed = true;
-        if (!run->cancelled) run->cancelled = std::current_exception();
+        std::lock_guard<std::mutex> guard(run.mutex);
+        run.failed = true;
+        if (!run.cancelled) run.cancelled = std::current_exception();
       } catch (...) {
-        std::lock_guard<std::mutex> guard(run->mutex);
-        run->failed = true;
-        if (!run->error) run->error = std::current_exception();
+        std::lock_guard<std::mutex> guard(run.mutex);
+        run.failed = true;
+        if (!run.error) run.error = std::current_exception();
       }
     }
     const std::int64_t end_ns = trace_now_ns();
@@ -214,12 +213,17 @@ void GraphScheduler::run_node(const std::shared_ptr<detail::GraphRun>& run,
       trace_record_span(node.span_name, begin_ns, end_ns, "graph");
     }
     if (ran) {
-      std::lock_guard<std::mutex> guard(run->mutex);
-      run->nodes_run += 1;
-      run->busy_ns += end_ns - begin_ns;
+      std::lock_guard<std::mutex> guard(run.mutex);
+      run.nodes_run += 1;
+      run.busy_ns += end_ns - begin_ns;
     }
   }
   trace_set_request_id(prev_rid);
+}
+
+void GraphScheduler::run_node(const std::shared_ptr<detail::GraphRun>& run,
+                              NodeId id) {
+  execute(*run, id);
 
   // Retire the node: successors whose last dependency this was become
   // ready (failed runs still drain every node so waiters always wake),
@@ -228,14 +232,8 @@ void GraphScheduler::run_node(const std::shared_ptr<detail::GraphRun>& run,
   bool completed = false;
   {
     std::lock_guard<std::mutex> guard(run->mutex);
-    for (const NodeId succ : node.out) {
-      if (--run->pending[succ] == 0) {
-        if (local_ready != nullptr) {
-          local_ready->push_back(succ);
-        } else {
-          ready.push_back(ReadyItem{run, succ});
-        }
-      }
+    for (const NodeId succ : run->nodes[id].out) {
+      if (--run->pending[succ] == 0) ready.push_back(ReadyItem{run, succ});
     }
     if (--run->remaining == 0) {
       run->done = true;
@@ -309,42 +307,41 @@ Expected<GraphScheduler::Handle> GraphScheduler::submit(
 Expected<GraphStats> GraphScheduler::run_inline(TaskGraph graph) {
   if (std::optional<Error> err = graph.validate()) return *err;
 
-  auto run = std::make_shared<detail::GraphRun>();
-  run->nodes = std::move(graph.nodes_);
-  run->edges = graph.edges_;
-  run->token = active_cancel_token();
-  run->rid = trace_request_id();
-  run->submit_ns = trace_now_ns();
+  detail::GraphRun run;
+  run.nodes = std::move(graph.nodes_);
+  run.edges = graph.edges_;
+  run.token = active_cancel_token();
+  run.rid = trace_request_id();
+  const std::int64_t start_ns = trace_now_ns();
 
-  const auto count = static_cast<std::int32_t>(run->nodes.size());
-  run->remaining = count;
-  run->pending.resize(run->nodes.size());
+  // Kahn's algorithm with a FIFO ready list: among ready nodes, lower
+  // ids (earlier add_node calls) run first, so a staged run executes in
+  // the order it was staged wherever its edges allow.
+  run.pending.resize(run.nodes.size());
   std::vector<NodeId> ready;
-  for (std::int32_t i = 0; i < count; ++i) {
-    run->pending[i] = run->nodes[i].in_degree;
-    if (run->pending[i] == 0) ready.push_back(i);
+  ready.reserve(run.nodes.size());
+  for (std::size_t i = 0; i < run.nodes.size(); ++i) {
+    run.pending[i] = run.nodes[i].in_degree;
+    if (run.pending[i] == 0) ready.push_back(static_cast<NodeId>(i));
   }
-  graph_metrics().edges.inc(run->edges);
-  if (count == 0) {
-    graph_metrics().graphs.inc();
-    return GraphStats{0, run->edges, 0, 0};
+  for (std::size_t next = 0; next < ready.size(); ++next) {
+    const NodeId id = ready[next];
+    execute(run, id);
+    for (const NodeId succ : run.nodes[id].out) {
+      if (--run.pending[succ] == 0) ready.push_back(succ);
+    }
   }
-  while (!ready.empty()) {
-    const NodeId id = ready.back();
-    ready.pop_back();
-    run_node(run, id, &ready);
-  }
-  if (std::exception_ptr err = run->first_error()) {
+  run.wall_ns = trace_now_ns() - start_ns;
+  if (std::exception_ptr err = run.first_error()) {
     std::rethrow_exception(err);
   }
-  return run->stats();
+  return run.stats();
 }
 
 Expected<GraphStats> GraphScheduler::run(TaskGraph graph) {
   // A node body running a nested graph would block its runner waiting on
   // nodes that need runners — with every runner doing the same, the pool
-  // wedges. Execute inline instead: serial topological order, same
-  // per-node wrapping, which is exactly the fallback semantics.
+  // wedges. Execute serially on the runner instead.
   if (t_is_runner) return run_inline(std::move(graph));
   Expected<Handle> handle = submit(std::move(graph));
   if (!handle.has_value()) return handle.error();
@@ -354,7 +351,7 @@ Expected<GraphStats> GraphScheduler::run(TaskGraph graph) {
 GraphScheduler& shared_scheduler() {
   static GraphScheduler scheduler([] {
     const unsigned hw = std::thread::hardware_concurrency();
-    unsigned n = hw / 2;
+    unsigned n = hw;
     if (n < 2) n = 2;
     if (n > 8) n = 8;
     return static_cast<int>(n);

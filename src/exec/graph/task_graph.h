@@ -6,15 +6,18 @@
 // node whose dependencies have completed on a small process-wide pool of
 // runner threads, so independent nodes — phases of *different* service
 // requests, or different shards of one sharded run — overlap instead of
-// queueing behind whole-request barriers.
+// queueing behind whole-request barriers. The same graph run serially
+// (GraphScheduler::run_inline: in order, on the calling thread) is the
+// fork-join mode: a staged run has one implementation, and the two modes
+// differ only in who executes its nodes.
 //
-// Interaction with the DESIGN §7 serialization rule: node bodies stay
+// Interaction with the DESIGN §7 launch rules: node bodies stay
 // whole-kernel granular. A runner thread issuing a top-level launch
-// serializes on the pool's launch mutex exactly like a concurrent
-// service dispatcher does today, and a launch issued from inside another
-// kernel's worker inlines serially — so a node body that itself launches
-// a kernel can never deadlock, and per-kernel determinism (chunked
-// reduce, serial scan fast path) is untouched.
+// shares the pool's workers with other top-level launchers exactly like
+// a concurrent service dispatcher does, and a launch issued from inside
+// another kernel's worker inlines serially — so a node body that itself
+// launches a kernel can never deadlock, and per-kernel determinism
+// (chunked reduce, serial scan fast path) is untouched.
 //
 // Cancellation: submit() captures the ambient CancelToken (the one a
 // CancelScope installed on the submitting thread). Every node re-installs
@@ -126,8 +129,8 @@ struct SchedulerTotals {
 
 /// Ready-queue scheduler over dedicated runner threads. Runners are
 /// plain top-level threads from the exec runtime's point of view, so
-/// their kernel launches follow the same serialization rule as service
-/// dispatchers. One process-wide instance (shared_scheduler()) carries
+/// their kernel launches follow the same rules as service dispatchers'.
+/// One process-wide instance (shared_scheduler()) carries
 /// all production traffic so graphs from different requests share the
 /// runner pool; tests may build private instances.
 class GraphScheduler {
@@ -167,12 +170,23 @@ class GraphScheduler {
   /// and the submitting thread's trace request id.
   Expected<Handle> submit(TaskGraph graph, Completion on_complete = {});
 
-  /// submit() + wait(). On a runner thread the graph executes inline in
-  /// topological order (same per-node wrapping) so a node body may
-  /// itself run a nested graph without deadlocking the runner pool.
-  /// Returns the typed error only for cycles; runtime failures
-  /// propagate as exceptions, matching Engine::run().
+  /// submit() + wait(). On a runner thread the graph goes to
+  /// run_inline() instead, so a node body may itself run a nested graph
+  /// without deadlocking the runner pool. Returns the typed error only
+  /// for cycles; runtime failures propagate as exceptions, matching
+  /// Engine::run().
   Expected<GraphStats> run(TaskGraph graph);
+
+  /// The serial executor: runs `graph` on the calling thread in Kahn
+  /// order (ready nodes in id order), with the same per-node wrapping a
+  /// runner applies — the ambient CancelToken polled before each body,
+  /// the request id installed, one span per node — and the same
+  /// failure rule (first CancelledError preferred; later bodies
+  /// skipped). A serial run is not scheduled, so it adds nothing to the
+  /// fdbscan_graph_* totals. Fork-join callers (ShardedEngine::run with
+  /// graph off, the service's fork-join dispatch) run their staged
+  /// graphs through here.
+  static Expected<GraphStats> run_inline(TaskGraph graph);
 
   [[nodiscard]] int runners() const noexcept {
     return static_cast<int>(runners_.size());
@@ -185,13 +199,14 @@ class GraphScheduler {
   };
 
   void runner_loop(int index);
-  /// Execute node `id` and retire it: decrement successors, pushing any
-  /// that become ready (to `local_ready` when given — the inline path —
-  /// or the shared queue otherwise), and finish the run when it drains.
-  void run_node(const std::shared_ptr<detail::GraphRun>& run, NodeId id,
-                std::vector<NodeId>* local_ready);
+  /// Run node `id`'s body with the per-node wrapping (shared by the
+  /// runners and run_inline); skipped once the run has failed.
+  static void execute(detail::GraphRun& run, NodeId id);
+  /// Runner path: execute node `id`, then retire it — successors whose
+  /// last dependency it was go to the shared queue, and the run
+  /// completes (totals, waiters, completion) when its last node retires.
+  void run_node(const std::shared_ptr<detail::GraphRun>& run, NodeId id);
   void enqueue(std::vector<ReadyItem> items);
-  Expected<GraphStats> run_inline(TaskGraph graph);
 
   std::vector<std::thread> runners_;
   std::mutex mutex_;
@@ -201,13 +216,15 @@ class GraphScheduler {
 };
 
 /// The process-wide scheduler every production graph runs on (lazily
-/// constructed; runner count clamped to [2, 8] from hardware/2).
+/// constructed; runner count clamped to [2, 8] from hardware
+/// concurrency: runners are the top-level launchers, and concurrent
+/// launches share the pool).
 GraphScheduler& shared_scheduler();
 
 /// The FDBSCAN_SERVICE_GRAPH knob: graph dispatch is the default;
-/// setting the variable to "0" falls back to fork-join everywhere the
-/// knob is consulted. Read once and cached; set_enabled() overrides for
-/// tests and benches.
+/// setting the variable to "0" makes fork-join (run_inline) the default
+/// of ServiceConfig::graph and of ShardedEngine::run(params, options).
+/// Read once and cached; set_enabled() overrides for tests and benches.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 

@@ -5,7 +5,6 @@
 #include <cassert>
 #include <memory>
 
-#include "exec/atomic.h"
 #include "exec/profile.h"
 #include "exec/timer.h"
 #include "exec/trace.h"
@@ -205,37 +204,43 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::quiesce() {
-  // A launch in flight holds launch_mutex_ for its whole duration, so
-  // acquiring it once is a full drain.
-  std::lock_guard<std::mutex> lock(launch_mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
+  cv_done_.wait(lock, [&] { return launches_ == 0; });
+}
+
+ThreadPool::Job* ThreadPool::claimable() const noexcept {
+  for (Job* job : jobs_) {
+    if (job->token != nullptr && job->token->cancelled()) continue;
+    if (job->next.load() < job->n) return job;
+  }
+  return nullptr;
 }
 
 void ThreadPool::worker_loop(int index) {
   t_thread_index = index;
-  std::uint64_t seen = 0;
   for (;;) {
-    std::uint64_t generation;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
+      cv_start_.wait(lock, [&] {
+        return stop_ || (job = claimable()) != nullptr;
+      });
       if (stop_) return;
-      generation = generation_;
-      seen = generation;
+      ++job->joined;
     }
-    work(generation);
+    work(*job);
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (--active_ == 0) cv_done_.notify_one();
+      if (--job->joined == 0) cv_done_.notify_all();
     }
   }
 }
 
-void ThreadPool::work(std::uint64_t /*generation*/) {
-  const std::int64_t n = job_n_;
-  const std::int64_t grain = job_grain_;
-  const char* name = job_name_;
-  const auto& body = *job_body_;
-  const CancelToken* token = job_token_;
+void ThreadPool::work(Job& job) {
+  const std::int64_t n = job.n;
+  const std::int64_t grain = job.grain;
+  const auto& body = *job.body;
+  const CancelToken* token = job.token;
   const bool tracing = trace_enabled();
   const std::int64_t trace_begin = tracing ? trace_now_ns() : 0;
   std::int64_t my_chunks = 0;
@@ -252,7 +257,7 @@ void ThreadPool::work(std::uint64_t /*generation*/) {
       ++my_polls;
       if (token->cancelled()) break;
     }
-    std::int64_t begin = atomic_fetch_add(job_next_, grain);
+    std::int64_t begin = job.next.fetch_add(grain, std::memory_order_acq_rel);
     if (begin >= n) break;
     body(begin, std::min(begin + grain, n));
     ++my_chunks;
@@ -262,7 +267,7 @@ void ThreadPool::work(std::uint64_t /*generation*/) {
   profile_add_busy(busy.seconds());
   if (my_polls > 0) exec_metrics().cancel_polls.inc(my_polls);
   if (tracing && my_chunks > 0) {
-    trace_record_kernel(name, trace_begin, trace_now_ns(), my_chunks,
+    trace_record_kernel(job.name, trace_begin, trace_now_ns(), my_chunks,
                         TraceKernelKind::kWorker);
   }
 }
@@ -309,29 +314,30 @@ void ThreadPool::run(const char* name, std::int64_t n, std::int64_t grain,
     }
     return;
   }
-  // Top-level dispatches from distinct user threads are serialized: the
-  // pool holds a single job slot.
-  std::lock_guard<std::mutex> launch(launch_mutex_);
+  // Top-level launches from distinct user threads run side by side: each
+  // posts its job, works its own chunks, and waits only for the workers
+  // that joined it. Idle workers join the oldest job with chunks left.
   const InflightGuard inflight(true);
-  std::uint64_t generation;
+  Job job;
+  job.n = n;
+  job.grain = grain;
+  job.name = name;
+  job.token = token;
+  job.body = &body;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    job_n_ = n;
-    job_grain_ = grain;
-    job_name_ = name;
-    job_token_ = token;
-    job_next_ = 0;
-    job_body_ = &body;
-    active_ = static_cast<int>(threads_.size());
-    generation = ++generation_;
+    jobs_.push_back(&job);
+    ++launches_;
   }
   cv_start_.notify_all();
-  work(generation);  // the caller participates
+  work(job);  // the caller participates
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    cv_done_.wait(lock, [&] { return active_ == 0; });
-    job_body_ = nullptr;
-    job_token_ = nullptr;
+    // Off the list first, so no worker joins a job whose chunks are all
+    // claimed; then wait out the ones still inside it.
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    cv_done_.wait(lock, [&] { return job.joined == 0; });
+    if (--launches_ == 0) cv_done_.notify_all();
   }
   profile_add_launch(chunks);
   if (tracing) {
@@ -341,7 +347,7 @@ void ThreadPool::run(const char* name, std::int64_t n, std::int64_t grain,
     trace_record_kernel(name, trace_begin, trace_now_ns(), chunks,
                         TraceKernelKind::kLaunch);
   }
-  // Pool fully drained (cv_done_ above): safe to surface the
+  // Every worker has left this job (cv_done_ above): safe to surface the
   // cancellation on the dispatching thread. Pooled dispatch only happens
   // at depth 0, so this is always the top level.
   if (token && token->cancelled()) throw CancelledError(token->reason());

@@ -5,6 +5,7 @@
 // runtime contract: reentrancy, determinism, per-thread accumulation).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -55,7 +56,8 @@ namespace detail {
 /// launch) executes serially inline on the calling thread — the Kokkos
 /// serial-backend behavior for nested parallelism — instead of touching
 /// the shared job state. Concurrent top-level run() calls from distinct
-/// user threads are serialized through launch_mutex_.
+/// user threads run side by side: each launcher works its own job and
+/// idle workers join the oldest job with unclaimed chunks.
 class ThreadPool {
  public:
   explicit ThreadPool(int workers);
@@ -91,26 +93,31 @@ class ThreadPool {
   void quiesce();
 
  private:
+  /// One top-level launch. Lives on the launcher's stack; listed in
+  /// jobs_ while its chunks may still be claimed.
+  struct Job {
+    std::int64_t n = 0;
+    std::int64_t grain = 1;
+    const char* name = nullptr;          // kernel label for tracing
+    const CancelToken* token = nullptr;  // launcher's token, or null
+    const std::function<void(std::int64_t, std::int64_t)>* body = nullptr;
+    alignas(64) std::atomic<std::int64_t> next{0};  // chunk cursor
+    int joined = 0;  // workers inside work() on this job (under mutex_)
+  };
+
   void worker_loop(int index);
-  void work(std::uint64_t generation);
+  void work(Job& job);
+  /// Oldest listed job with unclaimed chunks and no raised token, or
+  /// null. Call under mutex_.
+  [[nodiscard]] Job* claimable() const noexcept;
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;
-  std::mutex launch_mutex_;  // serializes top-level dispatches
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;
-  int active_ = 0;
+  std::vector<Job*> jobs_;  // launches accepting workers (under mutex_)
+  int launches_ = 0;        // top-level launches in flight (under mutex_)
   bool stop_ = false;
-
-  // Current job (valid while active_ > 0; written under mutex_ before
-  // the wake-up notification, read by workers after it).
-  std::int64_t job_n_ = 0;
-  std::int64_t job_grain_ = 1;
-  const char* job_name_ = nullptr;  // kernel label for tracing
-  const CancelToken* job_token_ = nullptr;  // dispatcher's token, or null
-  alignas(64) std::int64_t job_next_ = 0;  // atomic chunk cursor
-  const std::function<void(std::int64_t, std::int64_t)>* job_body_ = nullptr;
 };
 
 ThreadPool& pool();

@@ -368,8 +368,8 @@ std::vector<KernelAggregate> trace_kernel_aggregates(const TraceCursor& since) {
           static_cast<double>(ev.end_ns - ev.begin_ns) * 1e-6;
       const auto kind = static_cast<TraceKernelKind>(ev.kind);
       if (kind != TraceKernelKind::kWorker) {
-        // Launch-granularity stats: launches are serialized by the pool,
-        // so their wall durations sum to the kernel's share of wall time.
+        // Launch-granularity stats: each launch's dispatch-to-done wall
+        // time (launches from distinct threads may overlap).
         ++a.count;
         a.chunks += ev.value;
         a.total_ms += ms;

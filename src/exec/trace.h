@@ -159,7 +159,7 @@ struct KernelAggregate {
   std::string name;
   std::int64_t count = 0;   ///< launches
   std::int64_t chunks = 0;  ///< chunks executed across those launches
-  double total_ms = 0.0;    ///< summed launch wall (launches serialize)
+  double total_ms = 0.0;    ///< summed launch wall (may overlap across threads)
   double max_ms = 0.0;      ///< slowest single launch
   int workers = 0;
   double imbalance = 0.0;

@@ -2,7 +2,7 @@
 //
 // Every ClusterService::submit() mints a process-unique RequestId; the
 // dispatcher installs a RequestScope around the request's whole
-// lifetime (queue-wait span, engine lease, run, shard waves), which
+// lifetime (queue-wait span, engine lease, run, graph node spans), which
 // publishes the id into the exec trace context so every span recorded
 // on that thread — and every structured log line it emits — carries
 // the id. A Chrome trace and a JSONL log can then be joined per

@@ -1,19 +1,25 @@
 // Warm-engine cache for the clustering service (DESIGN.md §10).
 //
 // The service keys engines by a caller-chosen dataset id: every request
-// naming the same id reuses one fdbscan::Engine, so the point BVH is
-// built once per dataset (index_rebuilds == 1 in telemetry) and the
-// DenseBox bundle cache and workspace arena stay warm across requests.
+// naming the same id reuses that dataset's fdbscan::Engine (or a sibling
+// sharing its index, below), so the point BVH is built once per dataset
+// (index_rebuilds == 1 in telemetry) and the DenseBox bundle cache and
+// workspace arena stay warm across requests.
 //
 // Concurrency rules:
 //   * An Engine supports one run at a time (engine.h). The pool enforces
-//     this with a per-entry cv-guarded running flag: acquire() returns a
-//     Lease that holds the flag, so concurrent requests against one
-//     dataset serialize on the warm engine instead of each building a
-//     cold one. Requests against distinct datasets run fully in
-//     parallel. The flag (not a held mutex) lets a lease acquired on a
-//     service dispatcher be released by the graph runner that finishes
-//     the request's task graph.
+//     this with cv-guarded running flags: acquire() returns a Lease that
+//     holds one, so concurrent requests against one dataset never race
+//     on an engine and never each build a cold index. Requests against
+//     distinct datasets run fully in parallel. The flags (not held
+//     mutexes) let a lease acquired on a service dispatcher be released
+//     by the graph runner that finishes the request's task graph.
+//   * Plain single-engine FDBSCAN runs (acquire() with a Sharing) need
+//     nothing but the point BVH: once the first engine has built it, one
+//     that finds every engine busy gets a sibling sharing it (own
+//     workspace, no rebuild), up to runs_per_dataset engines. DenseBox,
+//     kAuto and sharded runs use the first engine, which owns the grid
+//     cache and the sharded executors.
 //   * Eviction is LRU over entries with no lease and no pin outstanding.
 //     An entry that is leased or pinned is never destroyed under the
 //     caller — the pool may temporarily exceed its capacity when every
@@ -27,6 +33,7 @@
 // without knowing the concrete Engine<DIM>.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -83,7 +90,20 @@ struct DatasetStats {
   std::int64_t sharded_evictions = 0;
 };
 
+/// Lets an acquire() run on a sibling engine; both functions take the
+/// opaque engine produced by make_engine.
+struct Sharing {
+  bool (*index_built)(const void* engine) = nullptr;
+  std::shared_ptr<void> (*sibling)(const void* warm) = nullptr;  // shares it
+};
+
 class EnginePool {
+  /// An extra engine of one dataset sharing the first one's index.
+  struct Sibling {
+    std::shared_ptr<void> engine;
+    bool running = false;
+  };
+
   struct Entry {
     std::string id;
     int dim = 0;
@@ -96,6 +116,12 @@ class EnginePool {
     std::mutex run_mutex;
     std::condition_variable run_cv;
     bool running = false;
+    // Under run_mutex: set once `engine` has built its index, by the
+    // lease that built it; after that the index is immutable and
+    // siblings may read it while `engine` runs.
+    bool index_ready = false;
+    const Sharing* sharing = nullptr;  // first non-null acquire(); run_mutex
+    std::vector<Sibling> siblings;     // under run_mutex
     bool validated = false;  // O(n) coordinate scan done for these points
     int active = 0;          // leases outstanding (guarded by pool mutex_)
     int pins = 0;            // long-lived Pins outstanding (guarded by mutex_)
@@ -103,8 +129,11 @@ class EnginePool {
   };
 
  public:
-  explicit EnginePool(std::int32_t capacity)
-      : capacity_(capacity < 1 ? 1 : capacity) {}
+  /// `capacity` bounds resident datasets; `runs_per_dataset` bounds
+  /// the engines (first + siblings) one dataset may run on at once.
+  explicit EnginePool(std::int32_t capacity, std::int32_t runs_per_dataset = 1)
+      : capacity_(capacity < 1 ? 1 : capacity),
+        runs_per_dataset_(runs_per_dataset < 1 ? 1 : runs_per_dataset) {}
 
   ~EnginePool() {
     // Keep the process-wide resident-engines gauge honest when a whole
@@ -116,7 +145,7 @@ class EnginePool {
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
 
-  /// Exclusive use of one dataset's engine: holds the entry's running
+  /// Exclusive use of one of a dataset's engines: holds its running
   /// flag (and a liveness reference) until destruction. Unlike a held
   /// mutex, the flag may be released by a different thread than acquired
   /// it — graph-mode requests destroy their lease from the scheduler
@@ -124,12 +153,6 @@ class EnginePool {
   class Lease {
    public:
     Lease() = default;
-    Lease(std::shared_ptr<Entry> entry, EnginePool* pool)
-        : entry_(std::move(entry)), pool_(pool) {
-      std::unique_lock<std::mutex> lock(entry_->run_mutex);
-      entry_->run_cv.wait(lock, [&] { return !entry_->running; });
-      entry_->running = true;
-    }
     Lease(Lease&&) = default;
     // No move-assign: overwriting a live lease would skip its active-count
     // release. Construct fresh leases instead.
@@ -138,11 +161,23 @@ class EnginePool {
       if (entry_ && pool_) {
         {
           std::lock_guard<std::mutex> lock(entry_->run_mutex);
-          entry_->running = false;
+          if (sibling_ < 0) {
+            // Still exclusive here: the index this run may have built is
+            // published to later sibling constructions by run_mutex.
+            if (!entry_->index_ready && entry_->sharing != nullptr) {
+              entry_->index_ready =
+                  entry_->sharing->index_built(entry_->engine.get());
+            }
+            entry_->running = false;
+          } else {
+            entry_->siblings[static_cast<std::size_t>(sibling_)].running =
+                false;
+          }
         }
-        // notify_all, not notify_one: blocked acquirers (Lease ctor) and
-        // dataset_stats() pollers share run_cv. A single wakeup consumed
-        // by a stats poll (which reads and returns without re-notifying)
+        // notify_all, not notify_one: blocked acquirers (of either kind)
+        // and dataset_stats() pollers share run_cv. A single wakeup
+        // consumed by one that cannot use the freed engine (or by a
+        // stats poll, which reads and returns without re-notifying)
         // would strand a dispatcher waiting on the same entry forever.
         entry_->run_cv.notify_all();
         std::lock_guard<std::mutex> guard(pool_->mutex_);
@@ -150,7 +185,7 @@ class EnginePool {
       }
     }
 
-    [[nodiscard]] void* engine() const noexcept { return entry_->engine.get(); }
+    [[nodiscard]] void* engine() const noexcept { return engine_; }
 
     /// Whether the O(n) coordinate scan already ran for this dataset.
     /// Callers flip it after a successful scan; guarded by the lease
@@ -159,8 +194,16 @@ class EnginePool {
     void set_validated() noexcept { entry_->validated = true; }
 
    private:
+    friend class EnginePool;
+    Lease(std::shared_ptr<Entry> entry, EnginePool* pool, int sibling,
+          void* engine)
+        : entry_(std::move(entry)), pool_(pool), sibling_(sibling),
+          engine_(engine) {}
+
     std::shared_ptr<Entry> entry_;
     EnginePool* pool_ = nullptr;
+    int sibling_ = -1;         // index into siblings, or -1: the first engine
+    void* engine_ = nullptr;   // cached: siblings may grow under run_mutex
   };
 
   /// Long-lived residency reference (DESIGN.md §14): unlike a Lease, a
@@ -200,18 +243,46 @@ class EnginePool {
     EnginePool* pool_ = nullptr;
   };
 
-  /// Lease the engine for dataset `id`, building it via `make_engine` on
-  /// a miss. Blocks while another lease on the same dataset is live (the
-  /// per-engine serialization rule). `counters` must read the
+  /// Lease an engine of dataset `id`, building the first one via
+  /// `make_engine` on a miss. Blocks while no engine the request may use
+  /// (the first one; with `sharing` also any sibling, or a new one — see
+  /// the header) is free. `counters` must read the
   /// EngineCounters out of the opaque engine produced by `make_engine`.
   Lease acquire(const std::string& id, int dim,
                 const std::function<std::shared_ptr<void>()>& make_engine,
-                EngineCounters (*counters)(const void*)) {
+                EngineCounters (*counters)(const void*),
+                const Sharing* sharing = nullptr) {
     std::shared_ptr<Entry> entry = find_or_create(id, dim, make_engine,
                                                   counters);
     // Taking the run mutex outside the pool lock: a long run on one
     // dataset must not block acquires for other datasets.
-    return Lease(std::move(entry), this);
+    std::unique_lock<std::mutex> lock(entry->run_mutex);
+    if (entry->sharing == nullptr) entry->sharing = sharing;
+    std::vector<Sibling>& sibs = entry->siblings;
+    for (;;) {
+      // A sharing run takes an idle sibling first, leaving the first
+      // engine to the runs that can use nothing else.
+      for (std::size_t k = 0; sharing != nullptr && k < sibs.size(); ++k) {
+        if (!sibs[k].running) {
+          sibs[k].running = true;
+          void* engine = sibs[k].engine.get();
+          return Lease(std::move(entry), this, static_cast<int>(k), engine);
+        }
+      }
+      if (!entry->running) {
+        entry->running = true;
+        void* engine = entry->engine.get();
+        return Lease(std::move(entry), this, -1, engine);
+      }
+      if (sharing != nullptr && entry->index_ready &&
+          static_cast<std::int32_t>(sibs.size()) + 1 < runs_per_dataset_) {
+        sibs.push_back(Sibling{sharing->sibling(entry->engine.get()), true});
+        void* engine = sibs.back().engine.get();
+        return Lease(std::move(entry), this,
+                     static_cast<int>(sibs.size()) - 1, engine);
+      }
+      entry->run_cv.wait(lock);
+    }
   }
 
   /// Pin the engine for dataset `id` (building it on a miss, like
@@ -237,11 +308,11 @@ class EnginePool {
     return s;
   }
 
-  /// Per-dataset counters for resident engines, sorted by id. Waits for
-  /// each entry's running flag to clear (EngineCounters is mutated by
-  /// runs) and holds it while reading, so this briefly serializes
-  /// against in-flight runs — call from telemetry paths, ideally after
-  /// the service is idle.
+  /// Per-dataset counters for resident engines (first engine plus
+  /// siblings), sorted by id. Waits for each entry's engines to be idle
+  /// (EngineCounters is mutated by runs) and holds its run mutex while
+  /// reading, so this briefly serializes against in-flight runs — call
+  /// from telemetry paths, ideally after the service is idle.
   [[nodiscard]] std::vector<DatasetStats> dataset_stats() {
     std::vector<std::shared_ptr<Entry>> snapshot;
     {
@@ -253,12 +324,23 @@ class EnginePool {
     out.reserve(snapshot.size());
     for (const auto& entry : snapshot) {
       std::unique_lock<std::mutex> run_lock(entry->run_mutex);
-      entry->run_cv.wait(run_lock, [&] { return !entry->running; });
-      const EngineCounters c = entry->counters(entry->engine.get());
+      entry->run_cv.wait(run_lock, [&] {
+        return !entry->running &&
+               std::none_of(entry->siblings.begin(), entry->siblings.end(),
+                            [](const Sibling& s) { return s.running; });
+      });
+      DatasetStats d{entry->id, entry->dim, 0, 0, 0, 0};
+      const auto add = [&](const void* engine) {
+        const EngineCounters c = entry->counters(engine);
+        d.runs += c.runs;
+        d.index_builds += c.index_builds;
+        d.grid_cache_hits += c.grid_cache_hits;
+        d.sharded_evictions += c.sharded_evictions;
+      };
+      add(entry->engine.get());
+      for (const Sibling& sib : entry->siblings) add(sib.engine.get());
       run_lock.unlock();
-      out.push_back(DatasetStats{entry->id, entry->dim, c.runs,
-                                 c.index_builds, c.grid_cache_hits,
-                                 c.sharded_evictions});
+      out.push_back(std::move(d));
     }
     return out;
   }
@@ -332,6 +414,7 @@ class EnginePool {
   }
 
   const std::int32_t capacity_;
+  const std::int32_t runs_per_dataset_;
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<Entry>> entries_;
   EnginePoolStats stats_;

@@ -73,6 +73,32 @@ class SessionTurn {
   detail::SessionState* s_;
 };
 
+// The typed error a failed run resolves to: a raised token maps to
+// kCancelled or kDeadlineExceeded by its reason, anything else to
+// kInternal.
+Error run_error(std::exception_ptr error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const exec::CancelledError& e) {
+    const bool deadline = e.reason() == exec::CancelReason::kDeadlineExceeded;
+    return Error{
+        deadline ? ErrorCode::kDeadlineExceeded : ErrorCode::kCancelled,
+        e.what()};
+  } catch (const std::exception& e) {
+    return Error{ErrorCode::kInternal, std::string("run caught: ") + e.what()};
+  } catch (...) {
+    return Error{ErrorCode::kInternal, "run caught a non-exception throw"};
+  }
+}
+
+// Engines one dataset may run on at once (EnginePool siblings): as many
+// as runs can execute concurrently — the scheduler's runners under
+// graph dispatch, the dispatchers under fork-join.
+std::int32_t runs_per_dataset(const ServiceConfig& config) {
+  return config.graph ? exec::graph::shared_scheduler().runners()
+                      : std::max<std::int32_t>(1, config.dispatchers);
+}
+
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env() {
@@ -90,7 +116,9 @@ ServiceConfig ServiceConfig::from_env() {
 }
 
 ClusterService::ClusterService(const ServiceConfig& config)
-    : config_(config), pool_(std::max<std::int32_t>(1, config.engine_capacity)) {
+    : config_(config),
+      pool_(std::max<std::int32_t>(1, config.engine_capacity),
+            runs_per_dataset(config)) {
   config_.queue_capacity = std::max<std::int32_t>(1, config_.queue_capacity);
   config_.dispatchers = std::max<std::int32_t>(1, config_.dispatchers);
   config_.engine_capacity = std::max<std::int32_t>(1, config_.engine_capacity);
@@ -125,7 +153,7 @@ ClusterService::~ClusterService() {
   // Graph-dispatched requests may still be in flight on the scheduler's
   // runners after the dispatchers are gone; their completions touch this
   // service (counters, queue mutex, promises). active_ covers them until
-  // complete_graph runs, so waiting for zero here is the async drain.
+  // finish_request runs, so waiting for zero here is the async drain.
   // The watchdog stays up until then — in-flight graphs keep their
   // deadline enforcement through shutdown.
   {
@@ -285,23 +313,15 @@ void ClusterService::dispatcher_loop(int index) {
       obs_.queued.add(-1);
       obs_.active.add(1);
     }
-    const bool deferred = process(*req, track_floor_ns);
-    // A deferred request is still active: the graph scheduler owns it
-    // now, and complete_graph performs this decrement when it resolves.
-    if (!deferred) {
-      std::lock_guard<std::mutex> lock(queue_mutex_);
-      --active_;
-      obs_.active.add(-1);
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
+    process(*req, track_floor_ns);
   }
 }
 
-bool ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
+void ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
   // Request-id context for the whole dispatch: the queue-wait and run
-  // spans below, every span/log line emitted inside run_request (engine
-  // lease, phase spans, shard waves) and the request_done event all
-  // carry req.id, so the trace and the log join per request.
+  // spans below, every span/log line emitted while staging or running
+  // (engine lease, phase and shard node spans) and the request_done
+  // event all carry req.id, so the trace and the log join per request.
   obs::RequestScope rid_scope(req.id);
   const std::int64_t start_ns = exec::trace_now_ns();
   const std::int64_t wait_ns = start_ns - req.submit_ns;
@@ -313,142 +333,94 @@ bool ClusterService::process(Request& req, std::int64_t& track_floor_ns) {
                             "service");
   }
 
-  if (config_.graph && req.op == Op::kCluster && req.stage != nullptr) {
-    const bool deferred = process_graph(req, start_ns, wait_ns);
-    track_floor_ns = exec::trace_now_ns();
-    return deferred;
-  }
-
-  // Expected<> has no default construction; exactly one of these is
-  // engaged per op (kCluster/kSessionQuery produce a Clustering, the
-  // session mutations a SessionDelta) and resolves the matching promise.
-  std::optional<ServiceResult> result;
-  std::optional<SessionResult> delta;
-  if (req.op == Op::kCluster || req.op == Op::kSessionQuery) {
-    result.emplace(run_request(req));
+  if (req.op == Op::kCluster) {
+    process_cluster(req, start_ns, wait_ns);
+  } else if (req.op == Op::kSessionQuery) {
+    finish_request(req, run_session_query(req), std::nullopt, start_ns,
+                   wait_ns);
   } else {
-    delta.emplace(run_session_mutation(req));
+    finish_request(req, std::nullopt, run_session_mutation(req), start_ns,
+                   wait_ns);
   }
-  finish_request(req, std::move(result), std::move(delta), start_ns, wait_ns);
   track_floor_ns = exec::trace_now_ns();
-  return false;
 }
 
-bool ClusterService::process_graph(Request& req, std::int64_t start_ns,
-                                   std::int64_t wait_ns) {
-  // The dispatcher half of a graph dispatch mirrors run_request's
-  // prologue exactly: cancel fast-fail, engine lease, one-time scan —
-  // then stages the run instead of executing it. Failures here resolve
-  // the request immediately (return false: not deferred).
-  auto state = std::make_shared<DeferredRun>();
+void ClusterService::process_cluster(Request& req, std::int64_t start_ns,
+                                     std::int64_t wait_ns) {
+  // The request moves into shared state up front: under graph dispatch
+  // the completion callback owns it, and may run before submit()
+  // returns.
+  auto state = std::make_shared<ClusterRun>();
+  state->req = std::move(req);
   state->start_ns = start_ns;
   state->wait_ns = wait_ns;
-  // Tracks which Request object is live: `req` until it is moved into
-  // the deferred state (which must happen before submit — a fast graph
-  // could complete, and complete_graph read state->req, before this
-  // thread regains control), state->req after. submit() can throw
-  // (bad_alloc building the run; std::system_error lazily constructing
-  // shared_scheduler's runner threads happens before anything is
-  // enqueued, so no completion can race these handlers) — the catch
-  // blocks must resolve whichever object still owns the promise, never
-  // the moved-from shell.
-  Request* live_req = &req;
+  ClusterRun& run = *state;
+  // Engaged when the request resolves on this thread; stays empty once
+  // the graph is on the scheduler, whose completion finishes it.
+  std::optional<ServiceResult> result;
   try {
-    exec::CancelScope scope(*req.token);
+    // The token governs everything from here: engine construction, the
+    // one-time coordinate scan and every node of the run dispatch
+    // kernels under it, so a raised token unwinds out of any of them
+    // within one chunk-quantum.
+    exec::CancelScope scope(*run.req.token);
     exec::throw_if_cancelled();  // raised while queued: skip all work
-    state->lease.emplace(
-        pool_.acquire(req.dataset_id, req.dim, req.make_engine, req.counters));
-    EnginePool::Lease& lease = *state->lease;
-    if (!lease.validated()) {
+    run.lease.emplace(pool_.acquire(run.req.dataset_id, run.req.dim,
+                                    run.req.make_engine, run.req.counters,
+                                    run.req.sharing));
+    if (!run.lease->validated()) {
       exec::throw_if_cancelled();
-      if (auto error = req.scan(lease.engine())) {
-        finish_request(req, ServiceResult(*std::move(error)), std::nullopt,
-                       start_ns, wait_ns);
-        return false;
+      if (auto error = run.req.scan(run.lease->engine())) {
+        result.emplace(*std::move(error));
+      } else {
+        run.lease->set_validated();
       }
-      lease.set_validated();
     }
-    exec::graph::TaskGraph g;
-    state->out = req.stage(lease.engine(), g, req.params, req.options,
-                           req.method, req.shards);
-    // Hand the request to the scheduler. submit() captures the ambient
-    // token (req.token, installed by the scope above — it outlives the
-    // run inside state->req) and this thread's request id, so every
-    // node polls the right token and attributes its span to req.id.
-    state->req = std::move(req);
-    live_req = &state->req;
-    const Expected<exec::graph::GraphScheduler::Handle> handle =
-        exec::graph::shared_scheduler().submit(
-            std::move(g),
-            [this, state](const exec::graph::GraphStats&,
-                          std::exception_ptr error) {
-              complete_graph(*state, error);
-            });
-    if (!handle.has_value()) {
-      // Unreachable for staged graphs (they are DAGs by construction);
-      // resolve rather than hang the future if it ever happens.
-      finish_request(state->req,
-                     ServiceResult(Error{ErrorCode::kInternal,
-                                         handle.error().message}),
-                     std::nullopt, start_ns, wait_ns);
-      return false;
+    if (!result.has_value()) {
+      exec::graph::TaskGraph g;
+      run.out = run.req.stage(run.lease->engine(), g, run.req.params,
+                              run.req.options, run.req.method,
+                              run.req.shards);
+      if (!config_.graph) {
+        (void)exec::graph::GraphScheduler::run_inline(std::move(g));
+        result.emplace(std::move(*run.out));
+      } else {
+        // submit() captures the ambient token (run.req.token, installed
+        // by the scope above — it outlives the run inside the state) and
+        // this thread's request id, so every node polls the right token
+        // and attributes its span to the request. It fails only for a
+        // cycle, which staged graphs never have, and can throw
+        // (bad_alloc, or std::system_error starting the shared
+        // scheduler's runners) only before anything is enqueued, so no
+        // completion races the handler below.
+        const Expected<exec::graph::GraphScheduler::Handle> handle =
+            exec::graph::shared_scheduler().submit(
+                std::move(g), [this, state](const exec::graph::GraphStats&,
+                                            std::exception_ptr error) {
+                  obs::RequestScope rid_scope(state->req.id);
+                  finish_cluster(*state,
+                                 error == nullptr
+                                     ? ServiceResult(std::move(*state->out))
+                                     : ServiceResult(run_error(error)));
+                });
+        if (!handle.has_value()) {
+          result.emplace(Error{ErrorCode::kInternal, handle.error().message});
+        }
+      }
     }
-    return true;
-  } catch (const exec::CancelledError& e) {
-    const bool deadline = e.reason() == exec::CancelReason::kDeadlineExceeded;
-    finish_request(*live_req,
-                   ServiceResult(Error{deadline ? ErrorCode::kDeadlineExceeded
-                                                : ErrorCode::kCancelled,
-                                       e.what()}),
-                   std::nullopt, start_ns, wait_ns);
-    return false;
-  } catch (const std::exception& e) {
-    finish_request(*live_req,
-                   ServiceResult(Error{ErrorCode::kInternal,
-                                       std::string("dispatcher caught: ") +
-                                           e.what()}),
-                   std::nullopt, start_ns, wait_ns);
-    return false;
+  } catch (...) {
+    result.emplace(run_error(std::current_exception()));
   }
+  if (result.has_value()) finish_cluster(run, *std::move(result));
 }
 
-void ClusterService::complete_graph(DeferredRun& run,
-                                    std::exception_ptr error) {
-  // Runs on the scheduler runner that finished (or failed) the graph's
-  // last node. Must not throw (GraphScheduler::Completion contract).
-  obs::RequestScope rid_scope(run.req.id);
-  std::optional<ServiceResult> result;
-  if (error == nullptr) {
-    result.emplace(std::move(*run.out));
-  } else {
-    try {
-      std::rethrow_exception(error);
-    } catch (const exec::CancelledError& e) {
-      const bool deadline =
-          e.reason() == exec::CancelReason::kDeadlineExceeded;
-      result.emplace(Error{deadline ? ErrorCode::kDeadlineExceeded
-                                    : ErrorCode::kCancelled,
-                           e.what()});
-    } catch (const std::exception& e) {
-      result.emplace(Error{ErrorCode::kInternal,
-                           std::string("graph runner caught: ") + e.what()});
-    } catch (...) {
-      result.emplace(Error{ErrorCode::kInternal,
-                           "graph runner caught a non-exception throw"});
-    }
-  }
+void ClusterService::finish_cluster(ClusterRun& run, ServiceResult result) {
   // Release the engine before resolving: a caller that waits on the
   // future and immediately resubmits against the same dataset must find
   // the lease free (same ordering finish_request keeps for busy tokens).
   run.lease.reset();
   finish_request(run.req, std::move(result), std::nullopt, run.start_ns,
                  run.wait_ns);
-  {
-    std::lock_guard<std::mutex> lock(queue_mutex_);
-    --active_;
-    obs_.active.add(-1);
-    if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-  }
 }
 
 void ClusterService::finish_request(Request& req,
@@ -511,71 +483,54 @@ void ClusterService::finish_request(Request& req,
   } else {
     req.delta_promise.set_value(*std::move(delta));
   }
+  // Last: once active_ can reach zero, the destructor may proceed, so
+  // nothing below may touch this service.
+  std::lock_guard<std::mutex> lock(queue_mutex_);
+  --active_;
+  obs_.active.add(-1);
+  if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
 }
 
-ServiceResult ClusterService::run_request(Request& req) {
+ServiceResult ClusterService::run_session_query(Request& req) {
   try {
-    // The token governs everything from here: engine construction, the
-    // one-time coordinate scan and the run itself all dispatch kernels
-    // under this scope, so a raised token unwinds out of any of them
-    // within one chunk-quantum.
     exec::CancelScope scope(*req.token);
-    if (req.op == Op::kSessionQuery) {
-      // Take the turn BEFORE the queued-cancel check: the op owns a
-      // turnstile ticket, and every exit path must consume it (the turn
-      // constructor itself converts a raised token into an abandoned
-      // ticket when it is not yet our turn).
-      detail::SessionState& s = *req.session;
-      SessionTurn turn(req.session, req.ticket);
-      exec::throw_if_cancelled();  // raised while queued: skip all work
-      if (s.failed) return s.open_error;
-      if (s.stream == nullptr) {
-        // Defense in depth (see run_session_mutation): never call
-        // through null even if a failed open somehow left failed unset.
-        return Error{ErrorCode::kInvalidSession,
-                     "session open did not complete"};
-      }
-      Clustering result;
-      if (config_.graph) {
-        // Session queries keep their synchronous shape (the dispatcher
-        // holds the session's turn), but the query body runs as a graph
-        // node so its work lands on the runner pool with a rid-tagged
-        // node span, interleaving with other requests' phases.
-        exec::graph::TaskGraph g;
-        g.add_node("stream/query",
-                   [&result, &s] { result = s.query_fn(s.stream.get()); });
-        const Expected<exec::graph::GraphStats> done =
-            exec::graph::shared_scheduler().run(std::move(g));
-        if (!done.has_value()) {  // unreachable: single node, no edges
-          return Error{ErrorCode::kInternal, done.error().message};
-        }
-      } else {
-        result = s.query_fn(s.stream.get());
-      }
-      session_queries_.fetch_add(1, std::memory_order_relaxed);
-      obs_.session_queries.inc();
-      note_session_rebuilds(s);
-      return result;
-    }
+    // Take the turn BEFORE the queued-cancel check: the op owns a
+    // turnstile ticket, and every exit path must consume it (the turn
+    // constructor itself converts a raised token into an abandoned
+    // ticket when it is not yet our turn).
+    detail::SessionState& s = *req.session;
+    SessionTurn turn(req.session, req.ticket);
     exec::throw_if_cancelled();  // raised while queued: skip all work
-    EnginePool::Lease lease =
-        pool_.acquire(req.dataset_id, req.dim, req.make_engine, req.counters);
-    if (!lease.validated()) {
-      exec::throw_if_cancelled();
-      if (auto error = req.scan(lease.engine())) return *std::move(error);
-      lease.set_validated();
+    if (s.failed) return s.open_error;
+    if (s.stream == nullptr) {
+      // Defense in depth (see run_session_mutation): never call
+      // through null even if a failed open somehow left failed unset.
+      return Error{ErrorCode::kInvalidSession,
+                   "session open did not complete"};
     }
-    return req.run(lease.engine(), req.params, req.options, req.method,
-                   req.shards);
-  } catch (const exec::CancelledError& e) {
-    const bool deadline =
-        e.reason() == exec::CancelReason::kDeadlineExceeded;
-    return Error{deadline ? ErrorCode::kDeadlineExceeded
-                          : ErrorCode::kCancelled,
-                 e.what()};
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::kInternal,
-                 std::string("dispatcher caught: ") + e.what()};
+    Clustering result;
+    if (config_.graph) {
+      // Session queries keep their synchronous shape (the dispatcher
+      // holds the session's turn), but the query body runs as a graph
+      // node so its work lands on the runner pool with a rid-tagged
+      // node span, interleaving with other requests' phases.
+      exec::graph::TaskGraph g;
+      g.add_node("stream/query",
+                 [&result, &s] { result = s.query_fn(s.stream.get()); });
+      const Expected<exec::graph::GraphStats> done =
+          exec::graph::shared_scheduler().run(std::move(g));
+      if (!done.has_value()) {  // unreachable: single node, no edges
+        return Error{ErrorCode::kInternal, done.error().message};
+      }
+    } else {
+      result = s.query_fn(s.stream.get());
+    }
+    session_queries_.fetch_add(1, std::memory_order_relaxed);
+    obs_.session_queries.inc();
+    note_session_rebuilds(s);
+    return result;
+  } catch (...) {
+    return run_error(std::current_exception());
   }
 }
 
@@ -584,7 +539,7 @@ SessionResult ClusterService::run_session_mutation(Request& req) {
   try {
     exec::CancelScope scope(*req.token);
     // Turn first, cancel check second: the ticket must be consumed on
-    // every exit path (see the kSessionQuery branch of run_request).
+    // every exit path (see run_session_query).
     SessionTurn turn(req.session, req.ticket);
     exec::throw_if_cancelled();  // raised while queued: skip all work
     SessionDelta delta;
@@ -620,24 +575,12 @@ SessionResult ClusterService::run_session_mutation(Request& req) {
     delta.rebuilds = s.counters_fn(s.stream.get()).index_rebuilds;
     note_session_rebuilds(s);
     return delta;
-  } catch (const exec::CancelledError& e) {
-    const bool deadline =
-        e.reason() == exec::CancelReason::kDeadlineExceeded;
-    Error error{deadline ? ErrorCode::kDeadlineExceeded
-                         : ErrorCode::kCancelled,
-                e.what()};
+  } catch (...) {
+    Error error = run_error(std::current_exception());
     // An open that unwinds (cancelled while queued, deadline mid-open,
     // engine construction throwing) leaves the session's stream and
     // function pointers null — poison it so later ops return this error
     // instead of calling through null.
-    if (req.op == Op::kSessionOpen) {
-      s.failed = true;
-      s.open_error = error;
-    }
-    return error;
-  } catch (const std::exception& e) {
-    Error error{ErrorCode::kInternal,
-                std::string("dispatcher caught: ") + e.what()};
     if (req.op == Op::kSessionOpen) {
       s.failed = true;
       s.open_error = error;

@@ -7,9 +7,10 @@
 // Error{kQueueFull} — backpressure instead of unbounded growth) and
 // returns a std::future<Expected<Clustering, Error>>. N dispatcher
 // threads drain the queue into runs on pooled warm engines
-// (service/engine_pool.h): requests naming the same dataset id reuse one
-// Engine — one BVH build per dataset — and serialize on it, while
-// distinct datasets run concurrently.
+// (service/engine_pool.h): requests naming the same dataset id reuse its
+// warm Engine — one BVH build per dataset — one run per engine at a
+// time (plain FDBSCAN runs may also take sibling engines sharing that
+// BVH), while distinct datasets run concurrently.
 //
 // Deadlines and cancellation ride on exec/cancel.h: every request gets a
 // CancelToken (caller-supplied or service-created), a watchdog thread
@@ -36,15 +37,17 @@
 // at open (that is what makes incremental maintenance sound); per-op
 // deadlines and tokens still apply.
 //
-// Task-graph dispatch (DESIGN.md §15): with ServiceConfig::graph set
-// (the default), a dispatcher stages a clustering request's phases into
-// a TaskGraph, submits it to the shared scheduler and moves on — the
-// request finishes from the runner that completes its last node, so
-// phases of different requests overlap on the runner pool and service
-// concurrency is bounded by runners, not dispatchers. Fork-join
-// dispatch (FDBSCAN_SERVICE_GRAPH=0) runs the request inline on the
-// dispatcher as before; kernel labels and work counters are
-// bit-identical between the modes.
+// Dispatch (DESIGN.md §15): a clustering request runs one way — the
+// dispatcher fast-fails a cancelled request, leases the dataset's
+// engine, scans it once and stages the run's phases into a TaskGraph.
+// With ServiceConfig::graph set (the default) it submits that graph to
+// the shared scheduler and moves on: the request finishes from the
+// runner that completes its last node, so phases of different requests
+// overlap on the runner pool and service concurrency is bounded by
+// runners, not dispatchers. Fork-join dispatch (FDBSCAN_SERVICE_GRAPH=0)
+// runs the same graph serially on the dispatcher. Both modes finish
+// through one terminal path, and kernel labels and work counters are
+// bit-identical between them.
 //
 // Knobs: FDBSCAN_SERVICE_QUEUE_CAP, FDBSCAN_SERVICE_DISPATCHERS,
 // FDBSCAN_SERVICE_SHARDS, FDBSCAN_SERVICE_SESSION_CAP,
@@ -115,12 +118,12 @@ struct ServiceConfig {
   /// points + retired slots) exceeds this percent of the live set.
   /// Env: FDBSCAN_SESSION_REBUILD_PCT.
   std::int32_t session_rebuild_pct = 25;
-  /// Dispatch one-shot clustering requests as task graphs on the shared
-  /// scheduler (exec/graph, DESIGN.md §15): dispatchers stage and submit
-  /// instead of running inline, so a dispatcher frees up while the
-  /// graph's phases run — and phases of *different* requests overlap on
-  /// the runner pool. false falls back to today's fork-join dispatch;
-  /// kernel labels and work counters are bit-identical either way.
+  /// Where a one-shot clustering request's staged task graph runs
+  /// (exec/graph, DESIGN.md §15). true: submitted to the shared
+  /// scheduler, so the dispatcher frees up while the graph's phases run
+  /// and phases of *different* requests overlap on the runner pool.
+  /// false (fork-join): run serially on the dispatcher. Kernel labels
+  /// and work counters are bit-identical either way.
   /// Env: FDBSCAN_SERVICE_GRAPH ("0" = fork-join; default on).
   bool graph = exec::graph::enabled();
 
@@ -195,32 +198,6 @@ struct ServiceSnapshot {
 [[nodiscard]] std::string to_prometheus_text(const ServiceSnapshot& snap);
 [[nodiscard]] std::string to_json(const ServiceSnapshot& snap);
 
-/// Legacy request shape, kept as a shim: submit(dataset, points, params,
-/// SubmitOptions) folds into a RequestSpec (core/request.h) and forwards
-/// to the spec overload — one validation path, one queue. New call sites
-/// should pass a RequestSpec directly.
-struct SubmitOptions {
-  Options options{};
-  Method method = Method::kAuto;
-  /// See RequestSpec::deadline_ms.
-  double deadline_ms = kNoDeadline;
-  /// See RequestSpec::token.
-  std::shared_ptr<exec::CancelToken> token{};
-  /// See RequestSpec::shards (0 = ServiceConfig::shards).
-  std::int32_t shards = 0;
-
-  [[nodiscard]] RequestSpec to_spec(const Parameters& params) const {
-    RequestSpec spec;
-    spec.params = params;
-    spec.options = options;
-    spec.method = method;
-    spec.shards = shards;
-    spec.deadline_ms = deadline_ms;
-    spec.token = token;
-    return spec;
-  }
-};
-
 using ServiceResult = Expected<Clustering, Error>;
 
 /// What a session mutation (open/append/expire) reports back: where the
@@ -260,8 +237,8 @@ struct EngineHolder {
   std::shared_ptr<const std::vector<Point<DIM>>> points;
   Engine<DIM> engine;
   /// Warm sharded executors, LRU-bounded at kShardedCapacity. Mutated
-  /// only under the pool entry's run-mutex (the Lease serializes runs
-  /// per dataset), so no extra lock is needed.
+  /// only under a Lease of the dataset's first engine (sharded requests
+  /// never take siblings), so no extra lock is needed.
   std::vector<ShardedSlot> sharded;
   std::uint64_t sharded_clock = 0;
   std::int64_t sharded_evictions = 0;
@@ -273,6 +250,12 @@ struct EngineHolder {
 
   explicit EngineHolder(std::shared_ptr<const std::vector<Point<DIM>>> pts)
       : points(std::move(pts)), engine(*points) {}
+
+  /// A sibling (EnginePool Sharing): same points, an engine sharing
+  /// `warm`'s built point BVH.
+  EngineHolder(std::shared_ptr<const std::vector<Point<DIM>>> pts,
+               const Engine<DIM>& warm)
+      : points(std::move(pts)), engine(warm, EngineConfig{}) {}
 
   shard::ShardedEngine<DIM>& sharded_for(std::int32_t shards) {
     for (auto& slot : sharded) {
@@ -320,6 +303,18 @@ EngineCounters counters_typed(const void* holder) {
   return c;
 }
 
+/// What plain single-engine FDBSCAN requests pass to EnginePool::acquire:
+/// they read nothing of the engine but its point BVH.
+template <int DIM>
+inline constexpr Sharing kSharing{
+    [](const void* h) {
+      return static_cast<const EngineHolder<DIM>*>(h)->engine.index_built();
+    },
+    [](const void* warm) -> std::shared_ptr<void> {
+      const auto* h = static_cast<const EngineHolder<DIM>*>(warm);
+      return std::make_shared<EngineHolder<DIM>>(h->points, h->engine);
+    }};
+
 template <int DIM>
 std::optional<Error> scan_typed(const void* holder) {
   const auto* h = static_cast<const EngineHolder<DIM>*>(holder);
@@ -333,30 +328,11 @@ std::optional<Error> scan_typed(const void* holder) {
   return std::nullopt;
 }
 
-template <int DIM>
-Clustering run_typed(void* holder, const Parameters& params,
-                     const Options& options, Method method,
-                     std::int32_t shards) {
-  auto* h = static_cast<EngineHolder<DIM>*>(holder);
-  if (shards > 1) {
-    // Sharded execution is FDBSCAN's decomposition; `method` does not
-    // apply (documented on SubmitOptions::shards).
-    return h->sharded_for(shards).run(params, options).clustering;
-  }
-  switch (method) {
-    case Method::kFdbscan: return h->engine.run(params, options);
-    case Method::kDensebox: return h->engine.run_densebox(params, options);
-    case Method::kAuto: break;
-  }
-  return fdbscan_auto(h->engine, params, options).clustering;
-}
-
-/// Graph-mode twin of run_typed: appends the request's phases to `g`
-/// instead of running them, returning the shared slot the finished graph
-/// leaves the Clustering in. Staging happens on the dispatcher (like the
-/// fork-join prologue): the kAuto density estimate, sharded plan build
-/// and per-phase kernel set are identical to run_typed's, so labels and
-/// work counters stay bit-identical between the two dispatch modes.
+/// Appends a kCluster request's run to `g` and returns the shared slot
+/// the finished graph leaves the Clustering in. Runs on the dispatcher,
+/// before any node: the kAuto decision (core/auto_select.h) and the
+/// sharded plan build happen here. Sharded execution is FDBSCAN's
+/// decomposition, so `method` does not apply when shards > 1.
 template <int DIM>
 std::shared_ptr<Clustering> stage_typed(void* holder,
                                         exec::graph::TaskGraph& g,
@@ -374,20 +350,12 @@ std::shared_ptr<Clustering> stage_typed(void* holder,
                }));
     return out;
   }
-  Method resolved = method;
-  if (resolved == Method::kAuto) {
-    // The same subsample estimate fdbscan_auto runs, in the same spot
-    // (before the run's first phase, on the dispatching thread).
-    const AutoSelectConfig auto_config;
-    resolved = estimate_dense_fraction(h->engine.points(), params,
-                                       auto_config) >=
-                       auto_config.densebox_threshold
-                   ? Method::kDensebox
-                   : Method::kFdbscan;
-  }
-  StagedRun staged = resolved == Method::kDensebox
-                         ? h->engine.stage_densebox(params, options)
-                         : h->engine.stage(params, options);
+  const bool densebox =
+      method == Method::kDensebox ||
+      (method == Method::kAuto &&
+       auto_select(h->engine.points(), params).used_densebox);
+  StagedRun staged = densebox ? h->engine.stage_densebox(params, options)
+                              : h->engine.stage(params, options);
   g.add_chain(std::move(staged.phases));
   return staged.result;
 }
@@ -508,21 +476,13 @@ class ClusterService {
       return std::make_shared<detail::EngineHolder<DIM>>(points);
     };
     req.counters = &detail::counters_typed<DIM>;
+    if (req.method == Method::kFdbscan && req.shards <= 1) {
+      req.sharing = &detail::kSharing<DIM>;
+    }
     req.scan = &detail::scan_typed<DIM>;
-    req.run = &detail::run_typed<DIM>;
     req.stage = &detail::stage_typed<DIM>;
     enqueue(std::move(req), spec.deadline_ms);
     return future;
-  }
-
-  /// Legacy submit shape; folds into a RequestSpec and forwards.
-  template <int DIM>
-  [[nodiscard]] std::future<ServiceResult> submit(
-      const std::string& dataset_id,
-      std::shared_ptr<const std::vector<Point<DIM>>> points,
-      const Parameters& params, SubmitOptions submit_options = {}) {
-    return submit<DIM>(dataset_id, std::move(points),
-                       submit_options.to_spec(params));
   }
 
   /// Stateful handle to one streaming session (move-only). Obtained from
@@ -759,12 +719,11 @@ class ClusterService {
     std::promise<ServiceResult> promise;
     std::function<std::shared_ptr<void>()> make_engine;
     EngineCounters (*counters)(const void*) = nullptr;
+    /// Set when the run may use a sibling engine (EnginePool Sharing).
+    const Sharing* sharing = nullptr;
     std::optional<Error> (*scan)(const void*) = nullptr;
-    Clustering (*run)(void*, const Parameters&, const Options&, Method,
-                      std::int32_t) = nullptr;
-    /// Graph-mode twin of `run` (detail::stage_typed): stages the run's
-    /// phases into a TaskGraph instead of executing them. Used only when
-    /// ServiceConfig::graph is set and op == kCluster.
+    /// detail::stage_typed: stages a kCluster request's run into a
+    /// TaskGraph, which either dispatch mode then executes.
     std::shared_ptr<Clustering> (*stage)(void*, exec::graph::TaskGraph&,
                                          const Parameters&, const Options&,
                                          Method, std::int32_t) = nullptr;
@@ -859,12 +818,13 @@ class ClusterService {
   [[nodiscard]] std::future<SessionResult> reject_session(Error error);
   void close_session(std::uint64_t id);
 
-  /// One graph-dispatched request in flight: everything the graph's
-  /// completion callback (invoked on a scheduler runner) needs to finish
-  /// the request. Holds the engine lease until completion, so per-
-  /// dataset serialization spans the whole graph exactly like the
-  /// fork-join dispatch (the cv-based Lease releases thread-agnostically).
-  struct DeferredRun {
+  /// One kCluster request past its queue wait: everything the terminal
+  /// path needs. Under graph dispatch the graph's completion callback
+  /// (on a scheduler runner) finishes it, under fork-join the dispatcher
+  /// does. Holds the engine lease until then, so per-dataset
+  /// serialization spans the whole run in both modes (the cv-based Lease
+  /// releases thread-agnostically).
+  struct ClusterRun {
     Request req;
     std::optional<EnginePool::Lease> lease;
     std::shared_ptr<Clustering> out;
@@ -876,23 +836,26 @@ class ClusterService {
   void enqueue(Request req, double deadline_ms);
   void dispatcher_loop(int index);
   void watchdog_loop();
-  /// Returns true when the request was deferred to the graph scheduler:
-  /// its terminal accounting (and the active_ decrement) happen in
-  /// complete_graph, not in the dispatcher.
-  [[nodiscard]] bool process(Request& req, std::int64_t& track_floor_ns);
-  /// Graph dispatch of a kCluster request: lease + scan + stage on the
-  /// dispatcher, then submit with a completion. Returns false (request
-  /// fully resolved here) when admission-time work failed.
-  [[nodiscard]] bool process_graph(Request& req, std::int64_t start_ns,
-                                   std::int64_t wait_ns);
-  /// Terminal accounting shared by both dispatch modes: run-time
+  /// Runs a dequeued request to its terminal state (or hands it to the
+  /// graph scheduler, which gets it there).
+  void process(Request& req, std::int64_t& track_floor_ns);
+  /// A kCluster request: cancel fast-fail, lease, one-time scan and
+  /// stage on the dispatcher, then the graph runs on the scheduler
+  /// (config_.graph) or serially right here. Either way it ends in
+  /// finish_cluster.
+  void process_cluster(Request& req, std::int64_t start_ns,
+                       std::int64_t wait_ns);
+  /// The terminal path of a kCluster request in both dispatch modes:
+  /// releases the lease, then finish_request.
+  void finish_cluster(ClusterRun& run, ServiceResult result);
+  /// Terminal accounting of every dequeued request: run-time
   /// histogram/span, busy-token release, outcome counters, request_done
-  /// log line, promise resolution. Exactly one of result/delta is set.
+  /// log line, promise resolution and the active_ decrement. Exactly one
+  /// of result/delta is set.
   void finish_request(Request& req, std::optional<ServiceResult> result,
                       std::optional<SessionResult> delta,
                       std::int64_t start_ns, std::int64_t wait_ns);
-  void complete_graph(DeferredRun& run, std::exception_ptr error);
-  [[nodiscard]] ServiceResult run_request(Request& req);
+  [[nodiscard]] ServiceResult run_session_query(Request& req);
   [[nodiscard]] SessionResult run_session_mutation(Request& req);
   /// Fold a session's not-yet-reported index rebuilds into the
   /// service-wide counter. Caller must hold the session's turn.

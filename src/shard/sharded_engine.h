@@ -10,29 +10,29 @@
 // eps-halo (ghost copies of every remote point within eps of the slab —
 // exactly the set needed to answer any eps-range query about an owned
 // point locally), and keeps one warm Engine per shard so repeated runs
-// at the same eps rebuild nothing. A fork-join run executes three
-// barrier-separated waves, each wave running all K shards
-// *concurrently*: every shard is driven by its own persistent team
-// thread, whose kernel launches are independent top-level launches on the
-// shared pool (the runtime serializes them at whole-kernel granularity —
-// the legal concurrency shape; nothing here nests launches):
+// at the same eps rebuild nothing.
 //
-//   wave 1  per-shard BVH build/reuse         (index_construction)
-//   wave 2  per-shard core determination      (preprocessing)
-//   -- barrier: stands in for the ghost core-flag exchange --
-//   wave 3  per-shard traversal + global union-find  (main)
-//   coordinator: flatten + finalize           (finalization)
+// A run has one implementation: stage() appends it to a task graph
+// (exec/graph) as per-shard nodes,
 //
-// In graph mode (exec/graph, the default; FDBSCAN_SERVICE_GRAPH=0 falls
-// back to the waves) the same per-shard bodies become task-graph nodes
-// and the barriers become edges: index[r] -> pre[r] -> main[r] chains
-// per shard, with pre[s] -> main[r] for every (s, r) pair standing in
-// for the ghost core-flag exchange (main reads ghost flags other shards
-// wrote). Shard r's traversal can therefore start before shard r+1's
-// build finishes — on the FoF fast path (no pre wave) each shard
-// pipelines fully independently — and nodes of *different* requests
-// interleave on the shared runner pool. The kernel launches are the
-// same set either way, so work counters stay bit-identical.
+//   index[r]   per-shard BVH build/reuse            (index_construction)
+//   pre[r]     per-shard core determination         (preprocessing)
+//   init       global union-find singletons
+//   main[r]    per-shard traversal + global union-find  (main)
+//   finalize   flatten + relabel + stats            (finalization)
+//
+// with index[r] -> pre[r] -> main[r] chains per shard and pre[s] ->
+// main[r] for every (s, r) pair standing in for the ghost core-flag
+// exchange (main reads ghost flags other shards wrote). The FoF fast
+// path (minpts == 2) has no pre nodes. run() stages and then either
+// hands the graph to the shared scheduler — shard r's traversal can
+// start before shard r+1's build finishes, and nodes of different
+// requests interleave on the runner pool — or runs it serially on the
+// calling thread (GraphScheduler::run_inline). Every kernel launch is a
+// top-level launch on the shared pool either way (concurrent launches
+// share its workers at whole-kernel granularity; nothing nests
+// launches), and the kernel set is the same, so work counters are
+// bit-identical.
 //
 // Cross-shard density connections resolve through a single global
 // union-find over a shared label array: each eps-close pair is processed
@@ -42,11 +42,12 @@
 // labels agree up to cluster renumbering, core flags and cluster count
 // agree exactly (tests/test_sharded.cpp).
 //
-// Cancellation: the coordinator's active CancelToken is re-installed on
-// every team thread for each wave, so a raised token stops all shards
-// within one chunk-quantum; the coordinator joins the wave, then rethrows
-// CancelledError. Engines and plans only publish fully-built state, so a
-// cancelled ShardedEngine stays valid for the next run.
+// Cancellation: the graph executor installs the caller's active
+// CancelToken around every node and polls it before each body, and the
+// kernels inside poll it per chunk, so a raised token stops all shards
+// within one chunk-quantum and the run rethrows CancelledError. Engines
+// and plans only publish fully-built state, so a cancelled ShardedEngine
+// stays valid for the next run.
 //
 // Thread-safety: one ShardedEngine = one concurrent run (same contract as
 // Engine).
@@ -54,17 +55,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/cluster.h"
@@ -73,13 +68,11 @@
 #include "exec/cancel.h"
 #include "exec/graph/task_graph.h"
 #include "exec/per_thread.h"
-#include "exec/profile.h"
 #include "exec/trace.h"
 #include "exec/workspace.h"
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "obs/metrics.h"
-#include "obs/request_id.h"
 #include "unionfind/union_find.h"
 
 namespace fdbscan::shard {
@@ -125,117 +118,6 @@ inline ShardMetrics& shard_metrics() {
   return m;
 }
 
-/// K persistent threads, one per shard. run(fn, token) executes fn(s) on
-/// member s for every shard concurrently and returns after all members
-/// finish (the wave barrier). Members are plain std::threads, so their
-/// kernel launches are ordinary top-level launches; each member installs
-/// `token` for the duration of its wave so cancellation reaches every
-/// shard's chunks. Exceptions are collected per member and rethrown on
-/// the coordinator after the barrier, preferring CancelledError so a
-/// cancel racing an unrelated failure reports the cancel.
-class ShardTeam {
- public:
-  explicit ShardTeam(std::int32_t size)
-      : errors_(static_cast<std::size_t>(size)) {
-    members_.reserve(static_cast<std::size_t>(size));
-    for (std::int32_t s = 0; s < size; ++s) {
-      members_.emplace_back([this, s] { member_loop(s); });
-    }
-  }
-
-  ~ShardTeam() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_work_.notify_all();
-    for (auto& t : members_) t.join();
-  }
-
-  ShardTeam(const ShardTeam&) = delete;
-  ShardTeam& operator=(const ShardTeam&) = delete;
-
-  void run(const std::function<void(std::int32_t)>& fn,
-           const exec::CancelToken* token) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      fn_ = &fn;
-      token_ = token;
-      // Members inherit the coordinator's request id for the wave, so
-      // their spans/log lines attribute to the request being served.
-      rid_ = exec::trace_request_id();
-      for (auto& e : errors_) e = nullptr;
-      pending_ = static_cast<std::int32_t>(members_.size());
-      ++generation_;
-      cv_work_.notify_all();
-      cv_done_.wait(lock, [&] { return pending_ == 0; });
-      fn_ = nullptr;
-      token_ = nullptr;
-    }
-    std::exception_ptr cancelled;
-    std::exception_ptr other;
-    for (const auto& e : errors_) {
-      if (!e) continue;
-      try {
-        std::rethrow_exception(e);
-      } catch (const exec::CancelledError&) {
-        if (!cancelled) cancelled = e;
-      } catch (...) {
-        if (!other) other = e;
-      }
-    }
-    if (cancelled) std::rethrow_exception(cancelled);
-    if (other) std::rethrow_exception(other);
-  }
-
- private:
-  void member_loop(std::int32_t member) {
-    exec::trace_register_thread(
-        ("shard-" + std::to_string(member)).c_str());
-    std::uint64_t seen = 0;
-    for (;;) {
-      const std::function<void(std::int32_t)>* fn = nullptr;
-      const exec::CancelToken* token = nullptr;
-      std::uint64_t rid = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        cv_work_.wait(lock, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        fn = fn_;
-        token = token_;
-        rid = rid_;
-      }
-      try {
-        obs::RequestScope rid_scope(rid);
-        std::optional<exec::CancelScope> scope;
-        if (token) scope.emplace(*token);
-        (*fn)(member);
-      } catch (...) {
-        // Published to the coordinator via the pending_ decrement below
-        // (mutex release/acquire orders the write).
-        errors_[static_cast<std::size_t>(member)] = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--pending_ == 0) cv_done_.notify_all();
-      }
-    }
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::function<void(std::int32_t)>* fn_ = nullptr;
-  const exec::CancelToken* token_ = nullptr;
-  std::uint64_t rid_ = 0;  // coordinator's request id for this wave
-  std::uint64_t generation_ = 0;
-  std::int32_t pending_ = 0;
-  bool stop_ = false;
-  std::vector<std::exception_ptr> errors_;
-  std::vector<std::thread> members_;
-};
-
 }  // namespace detail
 
 template <int DIM>
@@ -253,9 +135,6 @@ class ShardedEngine {
         workspace_(kNumSlots) {
     if (num_shards < 1) {
       throw std::invalid_argument("ShardedEngine: num_shards must be >= 1");
-    }
-    if (num_shards > 1) {
-      team_ = std::make_unique<detail::ShardTeam>(num_shards);
     }
   }
 
@@ -278,197 +157,33 @@ class ShardedEngine {
   /// BVHs are cached, so repeated runs at the same eps rebuild nothing.
   /// Note: the pair-once rule replaces the masked-traversal optimization
   /// (it needs global-id order, not leaf order), so
-  /// options.masked_traversal is ignored on this path. Dispatches to the
-  /// task graph or the fork-join waves per the FDBSCAN_SERVICE_GRAPH
+  /// options.masked_traversal is ignored on this path. Runs the staged
+  /// graph on the scheduler or serially per the FDBSCAN_SERVICE_GRAPH
   /// knob; work counters are bit-identical between the two.
   [[nodiscard]] ShardedResult run(const Parameters& params,
                                   const Options& options = {}) {
     return run(params, options, exec::graph::enabled());
   }
 
-  /// Same, with the mode picked explicitly (equivalence tests sweep it).
+  /// Same, with the executor picked explicitly: `graph` hands the staged
+  /// graph to the shared scheduler, otherwise it runs serially on the
+  /// calling thread. A single shard has nothing to overlap, so it always
+  /// runs serially.
   [[nodiscard]] ShardedResult run(const Parameters& params,
                                   const Options& options, bool graph) {
-    if (graph && num_shards_ > 1) {
-      exec::graph::TaskGraph g;
-      auto out = std::make_shared<ShardedResult>();
-      stage(g, params, options, out);
-      const Expected<exec::graph::GraphStats> done =
-          exec::graph::shared_scheduler().run(std::move(g));
-      if (!done.has_value()) {
-        // Unreachable: stage() emits a DAG by construction. Surface it
-        // loudly rather than return a half-written result.
-        throw std::logic_error(done.error().message);
-      }
-      return std::move(*out);
+    exec::graph::TaskGraph g;
+    auto out = std::make_shared<ShardedResult>();
+    stage(g, params, options, out);
+    const Expected<exec::graph::GraphStats> done =
+        graph && num_shards_ > 1
+            ? exec::graph::shared_scheduler().run(std::move(g))
+            : exec::graph::GraphScheduler::run_inline(std::move(g));
+    if (!done.has_value()) {
+      // Unreachable: stage() emits a DAG by construction. Surface it
+      // loudly rather than return a half-written result.
+      throw std::logic_error(done.error().message);
     }
-    const auto n = static_cast<std::int64_t>(points_->size());
-    ShardedResult result;
-    result.shards.resize(static_cast<std::size_t>(num_shards_));
-    if (n == 0) return result;
-    exec::throw_if_cancelled();
-    ++counters_.runs;
-    detail::shard_metrics().runs.inc();
-    const std::int64_t ws0 = workspace_.reallocs();
-    const float eps2 = params.eps * params.eps;
-    exec::PhaseProfiler timer;
-    PhaseTimings timings;
-
-    Plan& plan = ensure_plan(params.eps);
-
-    // --- Wave 1: per-shard index build/reuse -----------------------------
-    std::int32_t rebuilds = 0;
-    for (const auto& s : plan.shards) {
-      if (s.engine && !s.engine->index_built()) ++rebuilds;
-    }
-    for_each_shard([&](std::int32_t r) {
-      Shard& s = plan.shards[static_cast<std::size_t>(r)];
-      if (s.engine) (void)s.engine->index();
-    });
-    timings.index_construction =
-        timer.lap("shard/index", &timings.index_construction_profile);
-
-    // --- Wave 2: per-shard core determination ----------------------------
-    // Each shard writes only its owned points' flags, so there are no
-    // write races; ghost flags become visible to wave 3 through the wave
-    // barrier — the stand-in for the ghost core-flag exchange.
-    std::vector<std::uint8_t> is_core(points_->size(), 0);
-    std::vector<TraversalStats> shard_work(
-        static_cast<std::size_t>(num_shards_));
-    const bool fof = params.minpts == 2;  // Friends-of-Friends fast path
-    if (!fof) {
-      for_each_shard([&](std::int32_t r) {
-        Shard& s = plan.shards[static_cast<std::size_t>(r)];
-        if (s.owned == 0) return;
-        if (params.minpts <= 1) {
-          exec::parallel_for("shard/pre/all-core", s.owned,
-                             [&](std::int64_t k) {
-            is_core[static_cast<std::size_t>(
-                s.ids[static_cast<std::size_t>(k)])] = 1;
-          });
-          return;
-        }
-        const Bvh<DIM>& bvh = s.engine->index();
-        exec::PerThread<TraversalStats> work;
-        exec::parallel_for("shard/pre/core-count", s.owned,
-                           [&](std::int64_t k) {
-          const auto& p = s.local_points[static_cast<std::size_t>(k)];
-          std::int32_t count = 0;  // the traversal finds p itself
-          TraversalStats stats;  // stack-local: increments stay in registers
-          bvh.for_each_near(
-              p, eps2, 0,
-              [&](std::int32_t, std::int32_t) {
-                ++count;
-                return (options.early_exit && count >= params.minpts)
-                           ? TraversalControl::kTerminate
-                           : TraversalControl::kContinue;
-              },
-              &stats);
-          if (count >= params.minpts) {
-            is_core[static_cast<std::size_t>(
-                s.ids[static_cast<std::size_t>(k)])] = 1;
-          }
-          work.local() += stats;
-        });
-        shard_work[static_cast<std::size_t>(r)] += work.combine();
-      });
-    }
-    timings.preprocessing =
-        timer.lap("shard/pre", &timings.preprocessing_profile);
-
-    // --- Wave 3: per-shard traversal + global union-find -----------------
-    // Pair-once rule: the shard owning the globally-smaller id resolves
-    // the edge — it always holds both endpoints thanks to the halo. The
-    // UnionFindView is lock-free, so concurrent shards merging into the
-    // shared parents array is exactly the single-engine main phase's
-    // concurrency shape.
-    std::span<std::int32_t> labels =
-        workspace_.acquire<std::int32_t>(kUnionFind, points_->size());
-    init_singletons(labels.data(), static_cast<std::int32_t>(n));
-    UnionFindView uf(labels.data(), static_cast<std::int32_t>(n));
-    std::vector<std::int64_t> shard_cross(
-        static_cast<std::size_t>(num_shards_), 0);
-    for_each_shard([&](std::int32_t r) {
-      Shard& s = plan.shards[static_cast<std::size_t>(r)];
-      if (s.owned == 0) return;
-      const Bvh<DIM>& bvh = s.engine->index();
-      exec::PerThread<TraversalStats> work;
-      exec::PerThread<std::int64_t> cross;
-      exec::parallel_for("shard/main/traverse-union", s.owned,
-                         [&](std::int64_t k) {
-        const std::int32_t x = s.ids[static_cast<std::size_t>(k)];
-        const auto& p = s.local_points[static_cast<std::size_t>(k)];
-        std::int64_t local_cross = 0;
-        TraversalStats stats;
-        bvh.for_each_near(
-            p, eps2, 0,
-            [&](std::int32_t, std::int32_t local_y) {
-              const std::int32_t y =
-                  s.ids[static_cast<std::size_t>(local_y)];
-              if (y > x) {
-                if (local_y >= s.owned) ++local_cross;  // ghost endpoint
-                if (fof) {
-                  // Any eps-close pair consists of two core points. The
-                  // ghost's flag is also set by its owner — atomic
-                  // because two shards may store concurrently.
-                  exec::atomic_store_relaxed(
-                      is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
-                  exec::atomic_store_relaxed(
-                      is_core[static_cast<std::size_t>(y)], std::uint8_t{1});
-                  uf.merge(x, y);
-                } else {
-                  fdbscan::detail::resolve_pair(uf, is_core, x, y,
-                                                options.variant);
-                }
-              }
-              return TraversalControl::kContinue;
-            },
-            &stats);
-        work.local() += stats;
-        if (local_cross > 0) cross.local() += local_cross;
-      });
-      shard_work[static_cast<std::size_t>(r)] += work.combine();
-      shard_cross[static_cast<std::size_t>(r)] = cross.combine();
-    });
-    timings.main = timer.lap("shard/main", &timings.main_profile);
-
-    // --- Finalization: global flatten + relabel on the coordinator -------
-    flatten(labels.data(), static_cast<std::int32_t>(n));
-    std::span<std::int32_t> compact =
-        workspace_.acquire<std::int32_t>(kCompact, points_->size());
-    result.clustering = fdbscan::detail::finalize_labels_with_scratch(
-        labels.data(), n, std::move(is_core), compact.data());
-    timings.finalization =
-        timer.lap("shard/finalize", &timings.finalization_profile);
-
-    counters_.index_builds += rebuilds;
-    counters_.workspace_reallocs = workspace_.reallocs();
-    timings.engine_run = true;
-    timings.index_rebuilds = rebuilds;
-    timings.workspace_reallocs =
-        static_cast<std::int32_t>(workspace_.reallocs() - ws0);
-    result.clustering.timings = timings;
-
-    TraversalStats total_work;
-    for (const auto& w : shard_work) total_work += w;
-    result.clustering.distance_computations = total_work.leaves_tested;
-    result.clustering.index_nodes_visited = total_work.nodes_visited;
-
-    result.clustering.num_shards = num_shards_;
-    std::int64_t cross_total = 0;
-    for (std::int32_t r = 0; r < num_shards_; ++r) {
-      const Shard& s = plan.shards[static_cast<std::size_t>(r)];
-      ShardStats& st = result.shards[static_cast<std::size_t>(r)];
-      st.owned = s.owned;
-      st.ghosts = static_cast<std::int32_t>(s.ids.size()) - s.owned;
-      st.cross_edges = shard_cross[static_cast<std::size_t>(r)];
-      st.halo_bytes = static_cast<std::int64_t>(st.ghosts) * kBytesPerGhost;
-      result.clustering.shard_ghosts += st.ghosts;
-      result.clustering.shard_halo_bytes += st.halo_bytes;
-      cross_total += st.cross_edges;
-    }
-    result.clustering.shard_cross_edges = cross_total;
-    return result;
+    return std::move(*out);
   }
 
   /// Append this run to `g` as dependency-edged per-shard nodes (the
@@ -476,7 +191,7 @@ class ShardedEngine {
   /// merged result into *out. Returns the finalize node's id so callers
   /// can chain further work after it. Counts as a run: the cancel
   /// fast-fail and the eps-plan build happen here on the staging thread,
-  /// exactly where the fork-join path does them before wave 1.
+  /// before any node runs.
   exec::graph::NodeId stage(exec::graph::TaskGraph& g,
                             const Parameters& params, const Options& options,
                             std::shared_ptr<ShardedResult> out) {
@@ -501,8 +216,8 @@ class ShardedEngine {
     st->is_core.assign(points_->size(), 0);
     st->shard_work.resize(static_cast<std::size_t>(num_shards_));
     st->shard_cross.assign(static_cast<std::size_t>(num_shards_), 0);
-    // Logical wave tally for the dashboards: the graph replaces the wave
-    // barriers with edges but still executes the same two or three waves.
+    // Wave tally for the dashboards: a run executes two per-shard waves
+    // (index, main) plus the pre wave off the FoF fast path.
     detail::shard_metrics().waves.inc(st->fof ? 2 : 3);
 
     std::vector<exec::graph::NodeId> index_ids(
@@ -511,7 +226,7 @@ class ShardedEngine {
     std::vector<exec::graph::NodeId> main_ids(
         static_cast<std::size_t>(num_shards_), exec::graph::kNoNode);
 
-    // --- index[r]: per-shard BVH build/reuse (wave 1's body) -------------
+    // --- index[r]: per-shard BVH build/reuse -----------------------------
     for (std::int32_t r = 0; r < num_shards_; ++r) {
       index_ids[static_cast<std::size_t>(r)] = g.add_node(
           "shard/index[" + std::to_string(r) + "]", [this, st, r] {
@@ -523,10 +238,10 @@ class ShardedEngine {
           });
     }
 
-    // --- pre[r]: per-shard core determination (wave 2's body) ------------
+    // --- pre[r]: per-shard core determination ----------------------------
     // Each shard writes only its owned points' flags; main[r] reads ghost
     // flags other shards wrote, so every pre -> every main edge below is
-    // the ghost core-flag exchange the fork-join barrier stands in for.
+    // the ghost core-flag exchange.
     if (!st->fof) {
       pre_ids.resize(static_cast<std::size_t>(num_shards_),
                      exec::graph::kNoNode);
@@ -592,7 +307,7 @@ class ShardedEngine {
                           static_cast<std::int32_t>(st->n));
         });
 
-    // --- main[r]: per-shard traversal + global union-find (wave 3) ------
+    // --- main[r]: per-shard traversal + global union-find ---------------
     for (std::int32_t r = 0; r < num_shards_; ++r) {
       main_ids[static_cast<std::size_t>(r)] = g.add_node(
           "shard/main[" + std::to_string(r) + "]", [this, st, r] {
@@ -667,8 +382,9 @@ class ShardedEngine {
 
           // Phase seconds are per-shard node busy sums — they can exceed
           // the graph's wall clock when shards overlap (stream-style
-          // accounting). The per-phase kernel profiles need the barrier
-          // snapshots the graph removes, so they stay zero here.
+          // accounting). The per-phase kernel profiles need a barrier
+          // between phases, which the graph does not have, so they stay
+          // zero.
           PhaseTimings timings;
           timings.index_construction =
               static_cast<double>(
@@ -752,12 +468,12 @@ class ShardedEngine {
 
   static constexpr std::int32_t kPlanCapacity = 2;
 
-  /// Shared state of one staged (graph-mode) run, owned jointly by the
-  /// run's nodes. The atomics accumulate per-shard node busy time into
-  /// the phase timings — the process-global PhaseProfiler would need the
-  /// barrier snapshots the graph removes. The Plan pointer is stable:
-  /// one run at a time, and plans only leave the cache in ensure_plan,
-  /// which stage() calls before any node is queued.
+  /// Shared state of one staged run, owned jointly by the run's nodes.
+  /// The atomics accumulate per-shard node busy time into the phase
+  /// timings — the process-global PhaseProfiler would need a barrier
+  /// between phases, which the graph does not have. The Plan pointer is
+  /// stable: one run at a time, and plans only leave the cache in
+  /// ensure_plan, which stage() calls before any node is queued.
   struct GraphState {
     Parameters params;
     Options options;
@@ -775,20 +491,6 @@ class ShardedEngine {
     std::atomic<std::int64_t> pre_ns{0};
     std::atomic<std::int64_t> main_ns{0};
   };
-
-  /// Runs fn(r) for every shard: concurrently on the team when K > 1
-  /// (re-installing the coordinator's active token on every member for
-  /// the wave), inline when K == 1.
-  template <class Fn>
-  void for_each_shard(Fn&& fn) {
-    detail::shard_metrics().waves.inc();
-    if (!team_) {
-      for (std::int32_t r = 0; r < num_shards_; ++r) fn(r);
-      return;
-    }
-    const std::function<void(std::int32_t)> body = std::forward<Fn>(fn);
-    team_->run(body, exec::active_cancel_token());
-  }
 
   /// Eps-independent half of the decomposition: slab axis, cost-balanced
   /// cut coordinates, and the owner of every point, computed once. Cuts
@@ -921,7 +623,6 @@ class ShardedEngine {
   const std::vector<Point<DIM>>* points_;
   std::int32_t num_shards_;
   exec::Workspace workspace_;
-  std::unique_ptr<detail::ShardTeam> team_;  // null when num_shards_ == 1
   std::vector<std::unique_ptr<Plan>> plans_;
   std::uint64_t use_clock_ = 0;
   Box<DIM> domain_ = Box<DIM>::empty();

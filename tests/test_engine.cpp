@@ -101,6 +101,45 @@ TEST(Engine, PointIndexIsBuiltLazilyAndOnce) {
   EXPECT_EQ(engine.counters().runs, 3);
 }
 
+// A sibling shares the warm engine's built point BVH: it rebuilds
+// nothing, charges none of the index, and its runs are bit-identical to
+// the warm engine's.
+TEST(Engine, SiblingSharesTheIndexAndMatchesBitForBit) {
+  const auto points = clustered_points<2>(1500, 3, 1.0f, 0.02f, 95);
+  exec::MemoryTracker tracker;
+  EngineConfig config;
+  config.memory = &tracker;
+  Engine<2> warm(points, config);
+  (void)warm.run({0.02f, 5});  // builds the index
+  const std::size_t charged = tracker.current();
+  {
+    Engine<2> sibling(warm, config);
+    EXPECT_TRUE(sibling.index_built());
+    for (const int threads : {1, 4}) {
+      ScopedThreads scoped(threads);
+      for (const Parameters params :
+           {Parameters{0.02f, 5}, Parameters{0.05f, 8}, Parameters{0.01f, 2}}) {
+        const Clustering a = warm.run(params);
+        const Clustering b = sibling.run(params);
+        if (threads == 1) {
+          EXPECT_EQ(a.labels, b.labels);
+        }
+        EXPECT_EQ(a.is_core, b.is_core);
+        EXPECT_EQ(a.num_clusters, b.num_clusters);
+        EXPECT_EQ(a.distance_computations, b.distance_computations);
+        EXPECT_EQ(a.index_nodes_visited, b.index_nodes_visited);
+        EXPECT_EQ(b.timings.index_rebuilds, 0);
+      }
+    }
+    EXPECT_EQ(sibling.counters().index_builds, 0);
+    EXPECT_EQ(sibling.counters().runs, 6);
+  }
+  // The sibling released its own workspace and none of the shared index.
+  EXPECT_EQ(tracker.current(), charged);
+  EXPECT_EQ(warm.counters().index_builds, 1);
+  (void)warm.run({0.02f, 5});
+}
+
 TEST(Engine, GridCacheHitsAndMisses) {
   const auto points = clustered_points<2>(1000, 4, 1.0f, 0.01f, 95);
   const Parameters a{0.02f, 5};

@@ -149,9 +149,34 @@ TEST(GraphScheduler_, TotalsAdvanceAcrossARun) {
   EXPECT_EQ(after.edges, before.edges + 1);
 }
 
-// DESIGN §7: a top-level launch from a runner thread serializes on the
-// pool launch mutex like any other dispatcher; concurrent node bodies
-// all launching kernels therefore make progress instead of deadlocking.
+// The serial executor: Kahn order with ready nodes in id order, the
+// same stats a scheduled run reports, and nothing added to the
+// scheduler totals (a serial run is not scheduled).
+TEST(GraphScheduler_, RunInlineRunsInIdOrderOffTheTotals) {
+  std::vector<int> order;
+  TaskGraph g;
+  const NodeId a = g.add_node("test/a", [&] { order.push_back(0); });
+  const NodeId b = g.add_node("test/b", [&] { order.push_back(1); });
+  const NodeId c = g.add_node("test/c", [&] { order.push_back(2); });
+  const NodeId d = g.add_node("test/d", [&] { order.push_back(3); });
+  g.add_edge(b, a);
+  g.add_edge(a, d);
+  g.add_edge(c, d);
+  const SchedulerTotals before = totals();
+  const Expected<GraphStats> done = GraphScheduler::run_inline(std::move(g));
+  const SchedulerTotals after = totals();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->nodes_run, 4);
+  EXPECT_EQ(done->edges, 3);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 0, 3}));
+  EXPECT_EQ(after.graphs, before.graphs);
+  EXPECT_EQ(after.nodes_run, before.nodes_run);
+  EXPECT_EQ(after.edges, before.edges);
+}
+
+// DESIGN §7: a top-level launch from a runner thread shares the pool
+// with every other launcher; concurrent node bodies all launching
+// kernels therefore make progress instead of deadlocking.
 TEST(GraphScheduler_, NodeBodiesLaunchingKernelsDoNotDeadlock) {
   ScopedThreads threads(4);
   GraphScheduler sched(4);
@@ -270,10 +295,11 @@ TEST(GraphEquivalence, SingleEngineDenseboxBitIdenticalAcrossWorkers) {
 }
 
 // Sharded: the per-shard node pipeline (index[r] -> pre[r] -> main[r]
-// with the cross-shard core-flag edges) against the three fork-join
-// barrier waves. Work counters use striped accumulators folded in slot
-// order and the dataset admits a unique partition, so everything —
-// including the sharded telemetry — must match exactly.
+// with the cross-shard core-flag edges) on the scheduler against the
+// same graph run serially (GraphScheduler::run_inline). Work counters
+// use striped accumulators folded in slot order and the dataset admits
+// a unique partition, so everything — including the sharded telemetry —
+// must match exactly.
 TEST(GraphEquivalence, ShardedBitIdenticalAcrossWorkers) {
   const auto points = separated_blobs(250, 904);
   for (std::int32_t shards : {2, 3}) {
@@ -299,8 +325,8 @@ TEST(GraphEquivalence, ShardedBitIdenticalAcrossWorkers) {
   }
 }
 
-// FoF fast path (minpts=2 skips the preprocessing wave): the graph mode
-// drops the pre[r] nodes entirely, so shards pipeline index->main.
+// FoF fast path (minpts=2): the staged graph has no pre[r] nodes, so
+// shards pipeline index->main.
 TEST(GraphEquivalence, ShardedFofPathBitIdentical) {
   const auto points = separated_blobs(150, 905);
   const Parameters fof{0.05f, 2};

@@ -241,14 +241,13 @@ TEST(ObsMetrics, SnapshotNamesUniqueSortedAndStableAcrossWorkerCounts) {
     ScopedThreads scoped(workers);
     {
       service::ClusterService svc;
-      auto result =
-          svc.submit<2>("obs-names", points, Parameters{0.05f, 5}).get();
+      RequestSpec spec;
+      spec.params = Parameters{0.05f, 5};
+      auto result = svc.submit<2>("obs-names", points, spec).get();
       ASSERT_TRUE(result.has_value());
-      service::SubmitOptions sharded;
+      RequestSpec sharded = spec;
       sharded.shards = 2;
-      auto sharded_result =
-          svc.submit<2>("obs-names", points, Parameters{0.05f, 5}, sharded)
-              .get();
+      auto sharded_result = svc.submit<2>("obs-names", points, sharded).get();
       ASSERT_TRUE(sharded_result.has_value());
       svc.wait_idle();
     }
@@ -299,8 +298,9 @@ TEST(ObsServiceMirror, RegistryDeltaMatchesServiceMetricsUnderConcurrency) {
     for (int t = 0; t < kSubmitters; ++t) {
       submitters.emplace_back([&svc, &points, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          Parameters params{0.05f, 5 + (t + i) % 3};
-          auto f = svc.submit<2>("mirror", points, params);
+          RequestSpec spec;
+          spec.params = Parameters{0.05f, 5 + (t + i) % 3};
+          auto f = svc.submit<2>("mirror", points, spec);
           (void)f.get();
         }
       });
@@ -363,7 +363,8 @@ TEST(ObsServiceMirror, RegistryDeltaMatchesServiceMetricsUnderConcurrency) {
 TEST(ObsServiceMirror, ServiceSnapshotSerializes) {
   const auto points = shared_points(300, 31);
   service::ClusterService svc;
-  auto result = svc.submit<2>("snap", points, Parameters{0.05f, 5}).get();
+  auto result =
+      svc.submit<2>("snap", points, RequestSpec{.params = {0.05f, 5}}).get();
   ASSERT_TRUE(result.has_value());
   svc.wait_idle();
   const service::ServiceSnapshot snap = svc.snapshot();
@@ -419,7 +420,8 @@ TEST(ObsRequestId, ServiceSpansCarryRidInTrace) {
     service::ClusterService svc;
     for (int i = 0; i < 3; ++i) {
       auto result =
-          svc.submit<2>("rid", points, Parameters{0.05f, 5 + i}).get();
+          svc.submit<2>("rid", points, RequestSpec{.params = {0.05f, 5 + i}})
+              .get();
       ASSERT_TRUE(result.has_value());
     }
     svc.wait_idle();

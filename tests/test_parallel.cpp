@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "exec/atomic.h"
+#include "exec/cancel.h"
 #include "exec/profile.h"
 #include "test_utils.h"
 
@@ -263,6 +267,66 @@ TEST(Parallel, LargeGrainStillCoversRange) {
   std::int64_t sum = 0;
   parallel_for(3, [&](std::int64_t i) { atomic_fetch_add(sum, i); });
   EXPECT_EQ(sum, 3);
+}
+
+// Top-level launches from distinct threads run side by side on the
+// pool: every launch must still visit each of its indices exactly once,
+// whichever workers joined it.
+TEST(Parallel, ConcurrentTopLevelLaunchesEachCoverTheirRangeOnce) {
+  testing::ScopedThreads threads(4);
+  constexpr int kLaunchers = 3;
+  constexpr int kRounds = 40;
+  constexpr std::int64_t kN = 4096;
+  std::atomic<int> bad_rounds{0};
+  std::vector<std::thread> launchers;
+  for (int l = 0; l < kLaunchers; ++l) {
+    launchers.emplace_back([&] {
+      std::vector<std::int32_t> hits(static_cast<std::size_t>(kN));
+      for (int round = 0; round < kRounds; ++round) {
+        std::fill(hits.begin(), hits.end(), 0);
+        parallel_for("test/concurrent-launch", kN, [&](std::int64_t i) {
+          atomic_fetch_add(hits[static_cast<std::size_t>(i)], 1);
+        });
+        for (const std::int32_t h : hits) {
+          if (h != 1) {
+            bad_rounds.fetch_add(1);
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : launchers) t.join();
+  EXPECT_EQ(bad_rounds.load(), 0);
+}
+
+// A raised token stops only the launch it governs: a concurrent launch
+// from another thread still runs every chunk.
+TEST(Parallel, CancellingOneLaunchLeavesAConcurrentLaunchComplete) {
+  testing::ScopedThreads threads(4);
+  constexpr std::int64_t kN = 200000;
+  std::atomic<bool> threw{false};
+  std::thread cancelled([&] {
+    CancelToken token;
+    CancelScope scope(token);
+    try {
+      parallel_for("test/cancelled-launch", kN, [&](std::int64_t i) {
+        if (i == kN / 4) token.request_cancel();
+      });
+    } catch (const CancelledError&) {
+      threw.store(true);
+    }
+  });
+  std::int64_t sum = 0;
+  parallel_for("test/surviving-launch", kN,
+               [&](std::int64_t i) { atomic_fetch_add(sum, i); });
+  cancelled.join();
+  EXPECT_TRUE(threw.load());
+  EXPECT_EQ(sum, kN * (kN - 1) / 2);
+  // The pool is reusable after both.
+  std::int64_t after = 0;
+  parallel_for(1000, [&](std::int64_t i) { atomic_fetch_add(after, i); });
+  EXPECT_EQ(after, 999 * 1000 / 2);
 }
 
 }  // namespace

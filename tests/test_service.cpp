@@ -12,6 +12,7 @@
 #include <future>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -132,9 +133,10 @@ TEST(ClusterService, SubmitMatchesDirectCluster) {
   ASSERT_TRUE(expected.has_value());
 
   ClusterService service;
-  SubmitOptions submit;
+  RequestSpec submit;
+  submit.params = params;
   submit.method = Method::kFdbscan;
-  auto result = service.submit<2>("ds", points, params, submit).get();
+  auto result = service.submit<2>("ds", points, submit).get();
   ASSERT_TRUE(result.has_value());
   // Parallel labelings may differ border-point-wise run to run (see
   // test_thread_invariance.cpp); core-ness and partition are invariant.
@@ -152,11 +154,12 @@ TEST(ClusterService, WarmEngineSharedAcrossConcurrentSubmits) {
   config.queue_capacity = 32;
   ClusterService service(config);
 
-  SubmitOptions submit;
+  RequestSpec submit;
+  submit.params = params;
   submit.method = Method::kFdbscan;  // point BVH: one build per dataset
   std::vector<std::future<ServiceResult>> futures;
   for (int i = 0; i < 8; ++i) {
-    futures.push_back(service.submit<2>("shared", points, params, submit));
+    futures.push_back(service.submit<2>("shared", points, submit));
   }
   std::vector<Clustering> results;
   for (auto& f : futures) {
@@ -165,8 +168,9 @@ TEST(ClusterService, WarmEngineSharedAcrossConcurrentSubmits) {
     results.push_back(*std::move(result));
   }
   for (const Clustering& c : results) {
-    // Serialized on one engine, not racing: every run is a valid
-    // clustering of the same dataset (labels may differ border-wise).
+    // One run per engine at a time (the warm engine or a sibling sharing
+    // its index), never racing: every run is a valid clustering of the
+    // same dataset (labels may differ border-wise).
     EXPECT_EQ(c.is_core, results.front().is_core);
     EXPECT_EQ(c.num_clusters, results.front().num_clusters);
     const auto check =
@@ -181,13 +185,138 @@ TEST(ClusterService, WarmEngineSharedAcrossConcurrentSubmits) {
   EXPECT_EQ(stats[0].index_builds, 1) << "concurrent submits rebuilt the BVH";
 }
 
+// Plain FDBSCAN requests against one dataset run side by side on
+// sibling engines once the first run has built the index: the index is
+// still built once, every run is counted, and every result matches the
+// warm engine's bit for bit in core flags and work counters.
+TEST(ClusterService, SiblingEnginesRunOneDatasetConcurrently) {
+  const auto points = shared_points(6000, 5);
+  const Parameters params{0.03f, 10};
+  for (const bool graph : {false, true}) {
+    SCOPED_TRACE(graph ? "graph dispatch" : "fork-join dispatch");
+    ServiceConfig config;
+    config.dispatchers = 4;
+    config.queue_capacity = 32;
+    config.graph = graph;
+    ClusterService service(config);
+    RequestSpec spec;
+    spec.params = params;
+    spec.method = Method::kFdbscan;
+    auto warm = service.submit<2>("ds", points, spec).get();
+    ASSERT_TRUE(warm.has_value());
+    std::vector<std::future<ServiceResult>> futures;
+    for (int i = 0; i < 8; ++i) {
+      futures.push_back(service.submit<2>("ds", points, spec));
+    }
+    for (auto& f : futures) {
+      auto result = f.get();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->is_core, warm->is_core);
+      EXPECT_EQ(result->num_clusters, warm->num_clusters);
+      EXPECT_EQ(result->distance_computations, warm->distance_computations);
+      EXPECT_EQ(result->index_nodes_visited, warm->index_nodes_visited);
+      EXPECT_EQ(result->timings.index_rebuilds, 0);
+      const auto check = equivalent_clusterings(*points, params, *warm, *result);
+      EXPECT_TRUE(check.ok) << check.message;
+    }
+    service.wait_idle();
+    const auto stats = service.dataset_stats();
+    ASSERT_EQ(stats.size(), 1u);
+    EXPECT_EQ(stats[0].runs, 9);
+    EXPECT_EQ(stats[0].index_builds, 1);
+    EXPECT_EQ(service.pool_stats().engines, 1);
+  }
+}
+
+// EnginePool's sibling rule on stand-in engines: a Sharing acquire gets
+// a sibling only once the first engine has built its index, and only up
+// to runs_per_dataset engines; any other acquire waits for the first
+// engine; dataset_stats() sums every engine's counters.
+struct FakeEngine {
+  bool built = false;
+  std::int64_t runs = 0;
+};
+
+EngineCounters fake_counters(const void* engine) {
+  EngineCounters c;
+  c.runs = static_cast<const FakeEngine*>(engine)->runs;
+  return c;
+}
+
+bool fake_index_built(const void* engine) {
+  return static_cast<const FakeEngine*>(engine)->built;
+}
+
+std::shared_ptr<void> fake_sibling(const void* /*warm*/) {
+  auto sibling = std::make_shared<FakeEngine>();
+  sibling->built = true;
+  return sibling;
+}
+
+constexpr Sharing kFakeSharing{&fake_index_built, &fake_sibling};
+
+TEST(EnginePool_, SiblingsOnlyAfterTheIndexAndUpToTheCap) {
+  EnginePool pool(4, 2);
+  const auto make = [] {
+    return std::shared_ptr<void>(std::make_shared<FakeEngine>());
+  };
+  const auto acquire = [&](const Sharing* sharing) {
+    return pool.acquire("ds", 2, make, &fake_counters, sharing);
+  };
+  // Leases a fresh engine on another thread and reports which one.
+  const auto acquire_async = [&](const Sharing* sharing) {
+    return std::async(std::launch::async, [&acquire, sharing] {
+      return acquire(sharing).engine();
+    });
+  };
+  constexpr auto kBlocked = std::chrono::milliseconds(50);
+
+  void* first = nullptr;
+  std::future<void*> waiter;
+  {
+    EnginePool::Lease a = acquire(&kFakeSharing);
+    first = a.engine();
+    // No index yet: a sharing acquire waits for the first engine.
+    waiter = acquire_async(&kFakeSharing);
+    EXPECT_EQ(waiter.wait_for(kBlocked), std::future_status::timeout);
+    static_cast<FakeEngine*>(first)->built = true;  // this run built it
+    static_cast<FakeEngine*>(first)->runs = 1;
+  }
+  EXPECT_EQ(waiter.get(), first);
+
+  std::optional<EnginePool::Lease> b(acquire(&kFakeSharing));
+  EXPECT_EQ(b->engine(), first);
+  std::optional<EnginePool::Lease> c(acquire(&kFakeSharing));  // no wait
+  void* sibling = c->engine();
+  EXPECT_NE(sibling, first);
+  static_cast<FakeEngine*>(sibling)->runs = 2;
+
+  // At the cap (2 engines) a third sharing acquire waits, and reuses
+  // the sibling once it frees.
+  waiter = acquire_async(&kFakeSharing);
+  EXPECT_EQ(waiter.wait_for(kBlocked), std::future_status::timeout);
+  c.reset();
+  EXPECT_EQ(waiter.get(), sibling);
+
+  // Without Sharing only the first engine will do, idle sibling or not.
+  waiter = acquire_async(nullptr);
+  EXPECT_EQ(waiter.wait_for(kBlocked), std::future_status::timeout);
+  b.reset();
+  EXPECT_EQ(waiter.get(), first);
+
+  const auto stats = pool.dataset_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].runs, 3);
+  EXPECT_EQ(pool.stats().engines, 1);
+}
+
 TEST(ClusterService, DistinctDatasetsGetDistinctEngines) {
   const auto a = shared_points(3000, 1);
   const auto b = shared_points(3000, 2);
   const Parameters params{0.03f, 10};
   ClusterService service;
-  auto fa = service.submit<2>("a", a, params);
-  auto fb = service.submit<2>("b", b, params);
+  auto fa = service.submit<2>("a", a, RequestSpec{.params = params});
+  auto fb = service.submit<2>("b", b, RequestSpec{.params = params});
   EXPECT_TRUE(fa.get().has_value());
   EXPECT_TRUE(fb.get().has_value());
   service.wait_idle();
@@ -204,8 +333,12 @@ TEST(ClusterService, EnginePoolEvictsLeastRecentlyUsed) {
   ServiceConfig config;
   config.engine_capacity = 1;
   ClusterService service(config);
-  EXPECT_TRUE(service.submit<2>("a", a, params).get().has_value());
-  EXPECT_TRUE(service.submit<2>("b", b, params).get().has_value());
+  EXPECT_TRUE(service.submit<2>("a", a, RequestSpec{.params = params})
+                  .get()
+                  .has_value());
+  EXPECT_TRUE(service.submit<2>("b", b, RequestSpec{.params = params})
+                  .get()
+                  .has_value());
   service.wait_idle();
   const auto pool = service.pool_stats();
   EXPECT_EQ(pool.engines, 1);
@@ -220,7 +353,8 @@ TEST(ClusterService, EnginePoolEvictsLeastRecentlyUsed) {
 TEST(ClusterService, InvalidParametersFailAtSubmit) {
   const auto points = shared_points(100, 9);
   ClusterService service;
-  auto future = service.submit<2>("ds", points, Parameters{0.0f, 10});
+  auto future = service.submit<2>(
+      "ds", points, RequestSpec{.params = Parameters{0.0f, 10}});
   // The future is ready immediately: rejection happened on this thread.
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
@@ -233,7 +367,10 @@ TEST(ClusterService, InvalidParametersFailAtSubmit) {
 TEST(ClusterService, NullPointsFailAtSubmit) {
   ClusterService service;
   auto result =
-      service.submit<2>("ds", nullptr, Parameters{0.01f, 10}).get();
+      service
+          .submit<2>("ds", nullptr,
+                     RequestSpec{.params = Parameters{0.01f, 10}})
+          .get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInternal);
 }
@@ -244,11 +381,12 @@ TEST(ClusterService, NonFinitePointsFailOnTheDispatcher) {
   (*bad)[500][1] = std::numeric_limits<float>::quiet_NaN();
   ClusterService service;
   const std::shared_ptr<const std::vector<Point2>> frozen = bad;
-  auto first = service.submit<2>("bad", frozen, Parameters{0.01f, 10}).get();
+  const RequestSpec spec{.params = Parameters{0.01f, 10}};
+  auto first = service.submit<2>("bad", frozen, spec).get();
   ASSERT_FALSE(first.has_value());
   EXPECT_EQ(first.error().code, ErrorCode::kNonFinitePoint);
   // The failed scan must not mark the dataset validated.
-  auto second = service.submit<2>("bad", frozen, Parameters{0.01f, 10}).get();
+  auto second = service.submit<2>("bad", frozen, spec).get();
   ASSERT_FALSE(second.has_value());
   EXPECT_EQ(second.error().code, ErrorCode::kNonFinitePoint);
   EXPECT_EQ(service.metrics().failed, 2);
@@ -267,9 +405,10 @@ TEST(ClusterService, FullQueueRejectsDeterministically) {
 
   // Occupy the single dispatcher with a long run we can cancel later.
   auto blocker_token = std::make_shared<CancelToken>();
-  SubmitOptions blocking;
+  RequestSpec blocking;
+  blocking.params = params;
   blocking.token = blocker_token;
-  auto blocker = service.submit<2>("blocker", big, params, blocking);
+  auto blocker = service.submit<2>("blocker", big, blocking);
   ASSERT_TRUE(wait_until(service, [](const ServiceMetrics& m) {
     return m.active == 1 && m.queued == 0;
   })) << "blocker never reached a dispatcher";
@@ -279,7 +418,8 @@ TEST(ClusterService, FullQueueRejectsDeterministically) {
   constexpr int kExtra = 5;
   std::vector<std::future<ServiceResult>> burst;
   for (int i = 0; i < config.queue_capacity + kExtra; ++i) {
-    burst.push_back(service.submit<2>("tiny", tiny, params));
+    burst.push_back(
+        service.submit<2>("tiny", tiny, RequestSpec{.params = params}));
   }
   int rejected = 0;
   int accepted = 0;
@@ -317,16 +457,18 @@ TEST(ClusterService, CancelQueuedRequestNeverRuns) {
   ClusterService service(config);
 
   auto blocker_token = std::make_shared<CancelToken>();
-  SubmitOptions blocking;
+  RequestSpec blocking;
+  blocking.params = params;
   blocking.token = blocker_token;
-  auto blocker = service.submit<2>("blocker", big, params, blocking);
+  auto blocker = service.submit<2>("blocker", big, blocking);
   ASSERT_TRUE(wait_until(
       service, [](const ServiceMetrics& m) { return m.active == 1; }));
 
   auto queued_token = std::make_shared<CancelToken>();
-  SubmitOptions cancellable;
+  RequestSpec cancellable;
+  cancellable.params = params;
   cancellable.token = queued_token;
-  auto queued = service.submit<2>("victim", tiny, params, cancellable);
+  auto queued = service.submit<2>("victim", tiny, cancellable);
   queued_token->request_cancel();
   blocker_token->request_cancel();
 
@@ -348,10 +490,11 @@ TEST(ClusterService, CancelRunningRequestLeavesEngineReusable) {
   ASSERT_TRUE(expected.has_value());
 
   ClusterService service;
-  SubmitOptions submit;
+  RequestSpec submit;
+  submit.params = params;
   submit.method = Method::kFdbscan;
   submit.token = std::make_shared<CancelToken>();
-  auto doomed = service.submit<2>("ds", points, params, submit);
+  auto doomed = service.submit<2>("ds", points, submit);
   wait_until(service, [](const ServiceMetrics& m) { return m.active >= 1; });
   submit.token->request_cancel();
   const auto result = doomed.get();
@@ -359,9 +502,10 @@ TEST(ClusterService, CancelRunningRequestLeavesEngineReusable) {
     EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
   }
   // Same dataset, fresh request: the pooled engine survived the unwind.
-  SubmitOptions fresh;
+  RequestSpec fresh;
+  fresh.params = params;
   fresh.method = Method::kFdbscan;
-  const auto again = service.submit<2>("ds", points, params, fresh).get();
+  const auto again = service.submit<2>("ds", points, fresh).get();
   ASSERT_TRUE(again.has_value());
   const auto check = equivalent_clusterings(*points, params, *expected, *again);
   EXPECT_TRUE(check.ok) << check.message;
@@ -374,9 +518,10 @@ TEST(ClusterService, ZeroDeadlineFailsFastWithoutKernels) {
   const auto points = shared_points(10000, 14);
   ClusterService service;
   const exec::KernelProfileSnapshot before = exec::kernel_profile();
-  SubmitOptions strict;
+  RequestSpec strict;
+  strict.params = Parameters{0.03f, 10};
   strict.deadline_ms = 0.0;
-  auto future = service.submit<2>("ds", points, Parameters{0.03f, 10}, strict);
+  auto future = service.submit<2>("ds", points, strict);
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const auto result = future.get();
@@ -390,10 +535,10 @@ TEST(ClusterService, ZeroDeadlineFailsFastWithoutKernels) {
 TEST(ClusterService, DeadlineExpiresMidRun) {
   const auto points = shared_points(200000, 15);
   ClusterService service;
-  SubmitOptions strict;
+  RequestSpec strict;
+  strict.params = Parameters{0.05f, 10};
   strict.deadline_ms = 2.0;  // far below this run's wall time
-  const auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 10}, strict).get();
+  const auto result = service.submit<2>("ds", points, strict).get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExceeded);
   EXPECT_EQ(service.metrics().deadline_exceeded, 1);
@@ -410,11 +555,11 @@ TEST(ClusterService, TokenReuseAfterDeadlineIsNotCancelledByStaleEntry) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   auto token = std::make_shared<CancelToken>();
-  SubmitOptions with_deadline;
+  RequestSpec with_deadline;
+  with_deadline.params = params;
   with_deadline.deadline_ms = 300.0;
   with_deadline.token = token;
-  ASSERT_TRUE(
-      service.submit<2>("ds", points, params, with_deadline).get().has_value());
+  ASSERT_TRUE(service.submit<2>("ds", points, with_deadline).get().has_value());
   ASSERT_FALSE(token->cancelled());
 
   token->reset();
@@ -424,9 +569,10 @@ TEST(ClusterService, TokenReuseAfterDeadlineIsNotCancelledByStaleEntry) {
   EXPECT_FALSE(token->cancelled())
       << "stale watchdog deadline cancelled a reset token";
 
-  SubmitOptions reuse;
+  RequestSpec reuse;
+  reuse.params = params;
   reuse.token = token;  // no deadline this time
-  const auto result = service.submit<2>("ds", points, params, reuse).get();
+  const auto result = service.submit<2>("ds", points, reuse).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(token->cancelled());
   service.wait_idle();
@@ -446,26 +592,29 @@ TEST(ClusterService, ZeroDeadlineDoesNotPoisonCallersSharedToken) {
   ClusterService service;
   auto shared_token = std::make_shared<CancelToken>();
 
-  SubmitOptions expired;
+  RequestSpec expired;
+  expired.params = params;
   expired.deadline_ms = 0.0;
   expired.token = shared_token;
-  const auto rejected = service.submit<2>("ds", points, params, expired).get();
+  const auto rejected = service.submit<2>("ds", points, expired).get();
   ASSERT_FALSE(rejected.has_value());
   EXPECT_EQ(rejected.error().code, ErrorCode::kDeadlineExceeded);
   EXPECT_FALSE(shared_token->cancelled())
       << "fast-fail poisoned a caller-owned token";
 
   // A sibling request sharing the token still completes.
-  SubmitOptions sibling;
+  RequestSpec sibling;
+  sibling.params = params;
   sibling.token = shared_token;
-  EXPECT_TRUE(service.submit<2>("ds", points, params, sibling).get().has_value());
+  EXPECT_TRUE(service.submit<2>("ds", points, sibling).get().has_value());
 
   // The service-private case still fails fast the same way (nothing to
   // observe about the token; the error and the metrics are the contract).
-  SubmitOptions private_expired;
+  RequestSpec private_expired;
+  private_expired.params = params;
   private_expired.deadline_ms = -1.0;
   const auto rejected2 =
-      service.submit<2>("ds", points, params, private_expired).get();
+      service.submit<2>("ds", points, private_expired).get();
   ASSERT_FALSE(rejected2.has_value());
   EXPECT_EQ(rejected2.error().code, ErrorCode::kDeadlineExceeded);
 
@@ -485,9 +634,10 @@ TEST(ClusterService, ShardedExecutorCacheIsBoundedWithEvictionsCounted) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   auto run_sharded = [&](std::int32_t shards) {
-    SubmitOptions submit;
+    RequestSpec submit;
+    submit.params = params;
     submit.shards = shards;
-    return service.submit<2>("ds", points, params, submit).get();
+    return service.submit<2>("ds", points, submit).get();
   };
   ASSERT_TRUE(run_sharded(2).has_value());
   ASSERT_TRUE(run_sharded(3).has_value());
@@ -519,10 +669,10 @@ TEST(ClusterService, ShardedExecutorCacheIsBoundedWithEvictionsCounted) {
 TEST(ClusterService, GenerousDeadlineDoesNotFire) {
   const auto points = shared_points(2000, 16);
   ClusterService service;
-  SubmitOptions relaxed;
+  RequestSpec relaxed;
+  relaxed.params = Parameters{0.03f, 10};
   relaxed.deadline_ms = 60000.0;
-  const auto result =
-      service.submit<2>("ds", points, Parameters{0.03f, 10}, relaxed).get();
+  const auto result = service.submit<2>("ds", points, relaxed).get();
   EXPECT_TRUE(result.has_value());
   EXPECT_EQ(service.metrics().deadline_exceeded, 0);
 }
@@ -539,13 +689,16 @@ TEST(ClusterService, ShutdownResolvesQueuedFuturesAsCancelled) {
     ServiceConfig config;
     config.dispatchers = 1;
     ClusterService service(config);
-    SubmitOptions blocking;
+    RequestSpec blocking;
+    blocking.params = params;
     blocking.token = blocker_token;
-    queued.push_back(service.submit<2>("blocker", big, params, blocking));
+    queued.push_back(service.submit<2>("blocker", big, blocking));
     ASSERT_TRUE(wait_until(
         service, [](const ServiceMetrics& m) { return m.active == 1; }));
-    queued.push_back(service.submit<2>("q1", tiny, params));
-    queued.push_back(service.submit<2>("q2", tiny, params));
+    queued.push_back(
+        service.submit<2>("q1", tiny, RequestSpec{.params = params}));
+    queued.push_back(
+        service.submit<2>("q2", tiny, RequestSpec{.params = params}));
     blocker_token->request_cancel();  // let the dtor join promptly
   }
   // Destructor ran: every future must be resolved, queued ones cancelled.
@@ -563,12 +716,18 @@ TEST(ClusterService, TerminalCountsPartitionSubmitted) {
   const auto points = shared_points(2000, 20);
   const Parameters params{0.03f, 10};
   ClusterService service;
-  EXPECT_TRUE(service.submit<2>("ds", points, params).get().has_value());
-  EXPECT_FALSE(
-      service.submit<2>("ds", points, Parameters{-1.0f, 10}).get().has_value());
-  SubmitOptions strict;
+  EXPECT_TRUE(service.submit<2>("ds", points, RequestSpec{.params = params})
+                  .get()
+                  .has_value());
+  EXPECT_FALSE(service
+                   .submit<2>("ds", points,
+                              RequestSpec{.params = Parameters{-1.0f, 10}})
+                   .get()
+                   .has_value());
+  RequestSpec strict;
+  strict.params = params;
   strict.deadline_ms = 0.0;
-  EXPECT_FALSE(service.submit<2>("ds", points, params, strict).get().has_value());
+  EXPECT_FALSE(service.submit<2>("ds", points, strict).get().has_value());
   service.wait_idle();
   const ServiceMetrics m = service.metrics();
   EXPECT_EQ(m.submitted, 3);
@@ -583,7 +742,9 @@ TEST(ClusterService, LatencyHistogramsCoverEveryDispatch) {
   const Parameters params{0.03f, 10};
   ClusterService service;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(service.submit<2>("ds", points, params).get().has_value());
+    EXPECT_TRUE(service.submit<2>("ds", points, RequestSpec{.params = params})
+                    .get()
+                    .has_value());
   }
   service.wait_idle();
   const ServiceMetrics m = service.metrics();

@@ -311,9 +311,10 @@ TEST(ServiceSharded, SubmitOverrideMatchesSingleEngine) {
   ASSERT_TRUE(expected.has_value());
 
   service::ClusterService service;
-  service::SubmitOptions submit;
+  RequestSpec submit;
+  submit.params = params;
   submit.shards = 4;
-  auto result = service.submit<2>("ds", points, params, submit).get();
+  auto result = service.submit<2>("ds", points, submit).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_shards, 4);
   EXPECT_GT(result->shard_ghosts, 0);
@@ -330,14 +331,15 @@ TEST(ServiceSharded, ConfigDefaultAppliesWhenSubmitLeavesZero) {
   service::ServiceConfig config;
   config.shards = 2;
   service::ClusterService service(config);
-  auto result = service.submit<2>("ds", points, params).get();
+  RequestSpec spec;
+  spec.params = params;
+  auto result = service.submit<2>("ds", points, spec).get();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->num_shards, 2);
 
   // An explicit shards=1 overrides the config back to single-engine.
-  service::SubmitOptions single;
-  single.shards = 1;
-  auto direct = service.submit<2>("ds", points, params, single).get();
+  spec.shards = 1;
+  auto direct = service.submit<2>("ds", points, spec).get();
   ASSERT_TRUE(direct.has_value());
   EXPECT_EQ(direct->num_shards, 0);
 }
@@ -345,10 +347,10 @@ TEST(ServiceSharded, ConfigDefaultAppliesWhenSubmitLeavesZero) {
 TEST(ServiceSharded, NegativeShardsRejectedAtSubmit) {
   const auto points = shared_points(100, 621);
   service::ClusterService service;
-  service::SubmitOptions submit;
+  RequestSpec submit;
+  submit.params = Parameters{0.05f, 5};
   submit.shards = -1;
-  auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 5}, submit).get();
+  auto result = service.submit<2>("ds", points, submit).get();
   ASSERT_FALSE(result.has_value());
   EXPECT_EQ(result.error().code, ErrorCode::kInvalidShards);
   EXPECT_GE(service.metrics().failed, 1);
@@ -365,56 +367,90 @@ TEST(ServiceSharded, FromEnvReadsTheShardsKnob) {
 // Cancellation raised while the shards are mid-flight must unwind every
 // shard, resolve the future with kCancelled, and leave the pooled
 // ShardedEngine reusable: the resubmit completes with correct labels.
+// Both dispatch modes: the staged graph on the scheduler, and the same
+// graph run serially on the dispatcher.
 TEST(ServiceSharded, CancelMidShardLeavesPoolReusable) {
   const auto points = shared_points(60000, 622);
   const Parameters params{0.05f, 10};
-  service::ClusterService service;
-
-  auto token = std::make_shared<exec::CancelToken>();
-  service::SubmitOptions submit;
-  submit.shards = 4;
-  submit.token = token;
-  auto cancelled = service.submit<2>("ds", points, params, submit);
-  // Let the request reach the dispatcher, then cancel mid-run. Even if
-  // the cancel lands before the run starts, the request still resolves
-  // to kCancelled and the engine stays reusable — the interesting
-  // schedule (mid-wave cancel) is just the likeliest one.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  token->request_cancel();
-  auto result = cancelled.get();
-  ASSERT_FALSE(result.has_value());
-  EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
-
-  service::SubmitOptions retry;
-  retry.shards = 4;
-  auto good = service.submit<2>("ds", points, params, retry).get();
-  ASSERT_TRUE(good.has_value());
   const auto expected = cluster(*points, params, {}, Method::kFdbscan);
   ASSERT_TRUE(expected.has_value());
-  const auto check = equivalent_clusterings(*points, params, *expected, *good);
-  EXPECT_TRUE(check.ok) << check.message;
-  EXPECT_EQ(good->is_core, expected->is_core);
+  for (const bool graph : {true, false}) {
+    SCOPED_TRACE(graph ? "graph dispatch" : "fork-join dispatch");
+    service::ServiceConfig config;
+    config.graph = graph;
+    service::ClusterService service(config);
+
+    RequestSpec submit;
+    submit.params = params;
+    submit.shards = 4;
+    submit.token = std::make_shared<exec::CancelToken>();
+    auto cancelled = service.submit<2>("ds", points, submit);
+    // Let the request reach the dispatcher, then cancel mid-run. Even if
+    // the cancel lands before the run starts, the request still resolves
+    // to kCancelled and the engine stays reusable — the interesting
+    // schedule (mid-run cancel) is just the likeliest one.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    submit.token->request_cancel();
+    auto result = cancelled.get();
+    ASSERT_FALSE(result.has_value());
+    EXPECT_EQ(result.error().code, ErrorCode::kCancelled);
+
+    submit.token = nullptr;
+    auto good = service.submit<2>("ds", points, submit).get();
+    ASSERT_TRUE(good.has_value());
+    const auto check =
+        equivalent_clusterings(*points, params, *expected, *good);
+    EXPECT_TRUE(check.ok) << check.message;
+    EXPECT_EQ(good->is_core, expected->is_core);
+  }
 }
 
 // A deadline that expires mid-shard behaves like a cancel with the
-// deadline reason.
+// deadline reason, in both dispatch modes.
 TEST(ServiceSharded, DeadlineMidShardResolvesDeadlineExceeded) {
   const auto points = shared_points(60000, 623);
-  service::ClusterService service;
-  service::SubmitOptions submit;
-  submit.shards = 4;
-  submit.deadline_ms = 1.0;
-  auto result =
-      service.submit<2>("ds", points, Parameters{0.05f, 10}, submit).get();
-  if (!result.has_value()) {
-    EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExceeded);
+  for (const bool graph : {true, false}) {
+    SCOPED_TRACE(graph ? "graph dispatch" : "fork-join dispatch");
+    service::ServiceConfig config;
+    config.graph = graph;
+    service::ClusterService service(config);
+    RequestSpec submit;
+    submit.params = Parameters{0.05f, 10};
+    submit.shards = 4;
+    submit.deadline_ms = 1.0;
+    auto result = service.submit<2>("ds", points, submit).get();
+    if (!result.has_value()) {
+      EXPECT_EQ(result.error().code, ErrorCode::kDeadlineExceeded);
+    }
+    // Pool must stay reusable either way.
+    auto good =
+        service.submit<2>("ds", points, RequestSpec{.params = {0.03f, 10}})
+            .get();
+    EXPECT_TRUE(good.has_value());
   }
-  // Pool must stay reusable either way.
-  auto good =
-      service.submit<2>("ds", points, Parameters{0.03f, 10},
-                        service::SubmitOptions{})
-          .get();
-  EXPECT_TRUE(good.has_value());
+}
+
+// The service's own dispatch mode decides where a sharded request runs:
+// with fork-join dispatch the staged graph runs serially on the
+// dispatcher even when the process-wide graph knob is on, so the
+// scheduler sees no graph.
+TEST(ServiceSharded, ForkJoinDispatchKeepsShardedRunsOffTheScheduler) {
+  const auto points = shared_points(4000, 624);
+  const bool knob_was = exec::graph::enabled();
+  exec::graph::set_enabled(true);
+  service::ServiceConfig config;
+  config.graph = false;
+  service::ClusterService service(config);
+  RequestSpec submit;
+  submit.params = Parameters{0.03f, 10};
+  submit.shards = 2;
+  const std::int64_t graphs_before = exec::graph::totals().graphs;
+  auto result = service.submit<2>("ds", points, submit).get();
+  const std::int64_t graphs_after = exec::graph::totals().graphs;
+  exec::graph::set_enabled(knob_was);
+  ASSERT_TRUE(result.has_value()) << result.error().message;
+  EXPECT_EQ(result->num_shards, 2);
+  EXPECT_EQ(graphs_after, graphs_before);
 }
 
 }  // namespace

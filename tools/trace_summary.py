@@ -249,7 +249,7 @@ def per_request_table(slices):
     """Groups spans by args.rid. Returns rows sorted by rid: per request,
     the queue-wait / run walls from its service spans and the count and
     summed wall of every other span category recorded in its context
-    (phase spans, shard waves)."""
+    (phase spans, graph node spans)."""
     requests = defaultdict(lambda: defaultdict(
         lambda: {"count": 0, "total_ms": 0.0}))
     for s in slices:
