@@ -46,6 +46,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -114,6 +115,11 @@ class Bvh {
   /// Original primitive id stored at a sorted leaf position.
   [[nodiscard]] std::int32_t primitive_at(std::int32_t sorted_pos) const noexcept {
     return sorted_ids_[static_cast<std::size_t>(sorted_pos)];
+  }
+
+  /// primitive_at() for every sorted leaf position, in position order.
+  [[nodiscard]] std::span<const std::int32_t> primitive_order() const noexcept {
+    return sorted_ids_;
   }
 
   /// Sorted leaf position of an original primitive id.

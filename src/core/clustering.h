@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "exec/atomic.h"
@@ -116,39 +117,52 @@ struct Clustering {
 
 namespace detail {
 
-/// Edge resolution of Algorithm 3 (lines 6-12), shared by FDBSCAN,
-/// FDBSCAN-DenseBox and the DSDBSCAN baseline. Core status of both
-/// endpoints must already be known. Safe to call concurrently; border
-/// claims go through a single CAS (no critical section).
-inline void resolve_pair(const UnionFindView& uf,
-                         const std::vector<std::uint8_t>& is_core,
-                         std::int32_t x, std::int32_t y,
-                         Variant variant) noexcept {
-  const bool xc = is_core[static_cast<std::size_t>(x)] != 0;
+/// Edge resolution of Algorithm 3 (lines 6-12) for a traversal from x
+/// (core flag `xc`) over its neighbours y. Core status of both
+/// endpoints must already be known. `rx` is a member of x's set that the
+/// traversal keeps across its neighbours (pass x first): core-core pairs
+/// go through UnionFindView::merge_cached, and border claims into x's
+/// cluster start their find at `rx`. Safe to call concurrently; border
+/// claims go through a single CAS (no critical section). Under DBSCAN*
+/// border points are left unassigned (they become noise).
+inline void resolve_pair_cached(const UnionFindView& uf,
+                                std::span<const std::uint8_t> is_core,
+                                bool xc, std::int32_t x, std::int32_t& rx,
+                                std::int32_t y, Variant variant) noexcept {
   const bool yc = is_core[static_cast<std::size_t>(y)] != 0;
   if (xc && yc) {
-    uf.merge(x, y);
+    uf.merge_cached(rx, y);
   } else if (variant == Variant::kDbscan) {
     if (xc) {
-      uf.claim(y, x);  // y is a border point of x's cluster
+      uf.claim(y, rx);  // y is a border point of x's cluster
     } else if (yc) {
       uf.claim(x, y);
     }
   }
-  // DBSCAN*: border points are left unassigned (they become noise).
 }
 
-/// Turns a *flattened* union-find labels array + core flags into a
-/// finalized Clustering: noise points get kNoise and clusters are
-/// renumbered densely to [0, num_clusters). A point is noise iff it is
-/// not core and was never claimed (labels[i] == i); every cluster root is
-/// a core point with labels[root] == root. `compact` is caller-provided
-/// scratch of n int32 (the Engine hands in a reused workspace slot so a
-/// warmed run allocates only the result vector); its contents on return
-/// are unspecified.
-inline Clustering finalize_labels_with_scratch(
-    const std::int32_t* labels, std::int64_t n,
-    std::vector<std::uint8_t>&& is_core, std::int32_t* compact) {
+/// resolve_pair_cached for a single pair, with no member kept across
+/// calls: the sharded and streaming engines and the baselines.
+inline void resolve_pair(const UnionFindView& uf,
+                         std::span<const std::uint8_t> is_core,
+                         std::int32_t x, std::int32_t y,
+                         Variant variant) noexcept {
+  std::int32_t rx = x;
+  resolve_pair_cached(uf, is_core, is_core[static_cast<std::size_t>(x)] != 0,
+                      x, rx, y, variant);
+}
+
+/// Dense cluster ids and the relabel pass shared by both finalize
+/// overloads below. Writes each point's final label to `out` (and its
+/// core flag to `core_out`, when given) at its point id: `order[i]` when
+/// an order is given, else `i`. Returns the number of clusters.
+inline std::int32_t rank_and_relabel(const std::int32_t* labels,
+                                     std::int64_t n,
+                                     const std::uint8_t* is_core,
+                                     std::int32_t* compact,
+                                     const std::int32_t* order,
+                                     std::int32_t* out,
+                                     std::uint8_t* core_out) {
   // Rank the roots with an exclusive scan to obtain dense cluster ids.
   exec::parallel_for("finalize/core-roots", n, [&](std::int64_t i) {
     const auto ui = static_cast<std::size_t>(i);
@@ -159,19 +173,58 @@ inline Clustering finalize_labels_with_scratch(
   });
   const std::int32_t num_clusters =
       exec::exclusive_scan("finalize/cluster-rank", compact, n);
-  std::vector<std::int32_t> out(static_cast<std::size_t>(n));
   exec::parallel_for("finalize/relabel", n, [&](std::int64_t i) {
     const auto ui = static_cast<std::size_t>(i);
+    const auto id = static_cast<std::size_t>(
+        order != nullptr ? order[ui] : static_cast<std::int32_t>(i));
     if (is_core[ui] == 0 && labels[ui] == static_cast<std::int32_t>(i)) {
-      out[ui] = kNoise;
+      out[id] = kNoise;
     } else {
-      out[ui] = compact[static_cast<std::size_t>(labels[ui])];
+      out[id] = compact[static_cast<std::size_t>(labels[ui])];
     }
+    if (core_out != nullptr) core_out[id] = is_core[ui];
   });
+  return num_clusters;
+}
+
+/// Turns a *flattened* union-find labels array + core flags into a
+/// finalized Clustering: noise points get kNoise and clusters are
+/// renumbered densely to [0, num_clusters) in the order of their roots.
+/// A point is noise iff it is not core and was never claimed
+/// (labels[i] == i); every cluster root is a core point with
+/// labels[root] == root. `compact` is caller-provided scratch of n int32
+/// (the Engine hands in a reused workspace slot so a warmed run
+/// allocates only the result vectors); its contents on return are
+/// unspecified. This overload takes labels and core flags indexed by
+/// point id and moves `is_core` into the result.
+inline Clustering finalize_labels_with_scratch(
+    const std::int32_t* labels, std::int64_t n,
+    std::vector<std::uint8_t>&& is_core, std::int32_t* compact) {
   Clustering result;
-  result.labels = std::move(out);
+  result.labels.resize(static_cast<std::size_t>(n));
+  result.num_clusters = rank_and_relabel(labels, n, is_core.data(), compact,
+                                         nullptr, result.labels.data(),
+                                         nullptr);
   result.is_core = std::move(is_core);
-  result.num_clusters = num_clusters;
+  return result;
+}
+
+/// The same for labels and core flags kept in an index's own order
+/// (FDBSCAN's BVH leaf order, DenseBox's grid order): `order[i]` is the
+/// point id at index position i. The relabel pass writes labels and core
+/// flags by point id, so mapping back costs no pass of its own, and
+/// `is_core` stays caller scratch (a workspace slot). Clusters are
+/// numbered in index order: deterministic at any worker count.
+inline Clustering finalize_labels_with_scratch(
+    const std::int32_t* labels, std::int64_t n,
+    std::span<const std::uint8_t> is_core, std::int32_t* compact,
+    std::span<const std::int32_t> order) {
+  Clustering result;
+  result.labels.resize(static_cast<std::size_t>(n));
+  result.is_core.resize(static_cast<std::size_t>(n));
+  result.num_clusters = rank_and_relabel(
+      labels, n, is_core.data(), compact, order.data(), result.labels.data(),
+      result.is_core.data());
   return result;
 }
 

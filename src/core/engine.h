@@ -12,12 +12,13 @@
 //   * the point BVH — eps-independent (eps is a query parameter, §4.1),
 //     so a whole (eps, minpts) sweep needs exactly one build;
 //   * a small LRU cache of DenseBox index bundles (DenseGrid + mixed-
-//     primitive BVH + isolated ids), keyed by (eps, cell_width_factor,
+//     primitive BVH), keyed by (eps, cell_width_factor,
 //     max(minpts, 1)) — the grid IS eps/minpts-dependent (§4.2), so only
 //     repeats hit, but a hit skips the entire index phase;
-//   * a grow-only workspace (exec/workspace.h) for the union-find parents
-//     and the finalization rank scratch, so a warmed run performs zero
-//     heap allocations beyond the result vectors it hands to the caller.
+//   * a grow-only workspace (exec/workspace.h) for the union-find parents,
+//     the core flags and the finalization rank scratch, so a warmed run
+//     performs zero heap allocations beyond the result vectors it hands
+//     to the caller.
 //
 // run()/run_densebox()/sweep() execute the exact kernels of the free
 // functions — same launches, same order — so labels are bit-identical to
@@ -209,25 +210,33 @@ class Engine {
 
     staged.phases.push_back(exec::graph::Phase{"fdbscan/pre", [this, st] {
       // --- Preprocessing: determine core points ---------------------------
-      // Work counters accumulate into striped per-thread slots: a shared
-      // atomic here would serialize every traversal thread on one cache
-      // line.
+      // Every kernel of the run launches over BVH sorted leaf positions,
+      // and the core flags and union-find are indexed by position too
+      // (§3.2): neighbouring threads touch neighbouring memory in the
+      // callbacks as well as in the traversal. Finalize maps back to
+      // point ids. Work counters accumulate into striped per-thread
+      // slots: a shared atomic here would serialize every traversal
+      // thread on one cache line.
       const auto& points = *points_;
       const Bvh<DIM>& bvh = *st->bvh;
       const Parameters params = st->params;
       const Options& options = st->options;
       const float eps2 = st->eps2;
-      st->is_core.assign(points.size(), 0);
-      auto& is_core = st->is_core;
-      if (params.minpts <= 1) {
-        // Degenerate density threshold: every point is core.
-        exec::parallel_for("fdbscan/pre/all-core", st->n, [&](std::int64_t i) {
-          is_core[static_cast<std::size_t>(i)] = 1;
+      st->is_core = workspace_.acquire<std::uint8_t>(kCore, points.size());
+      const std::span<std::uint8_t> is_core = st->is_core;
+      if (params.minpts <= 2) {
+        // minpts <= 1: every point is core. minpts == 2: the FoF main
+        // phase marks both ends of every pair it finds.
+        const std::uint8_t all = params.minpts <= 1 ? 1 : 0;
+        exec::parallel_for("fdbscan/pre/core-init", st->n,
+                           [&](std::int64_t pos) {
+          is_core[static_cast<std::size_t>(pos)] = all;
         });
-      } else if (params.minpts > 2) {
+      } else {
         exec::parallel_for("fdbscan/pre/core-count", st->n,
-                           [&](std::int64_t i) {
-          const auto& x = points[static_cast<std::size_t>(i)];
+                           [&](std::int64_t pos) {
+          const auto& x = points[static_cast<std::size_t>(
+              bvh.primitive_at(static_cast<std::int32_t>(pos)))];
           std::int32_t count = 0;  // the traversal finds x itself at distance 0
           TraversalStats stats;  // stack-local: increments stay in registers
           bvh.for_each_near(
@@ -239,7 +248,7 @@ class Engine {
                            : TraversalControl::kContinue;
               },
               &stats);
-          if (count >= params.minpts) is_core[static_cast<std::size_t>(i)] = 1;
+          is_core[static_cast<std::size_t>(pos)] = count >= params.minpts;
           st->work.local() += stats;
         });
       }
@@ -253,7 +262,7 @@ class Engine {
       const Bvh<DIM>& bvh = *st->bvh;
       const Options& options = st->options;
       const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
+      const std::span<std::uint8_t> is_core = st->is_core;
       st->labels = workspace_.acquire<std::int32_t>(kUnionFind, points.size());
       init_singletons(st->labels.data(), static_cast<std::int32_t>(st->n));
       UnionFindView uf(st->labels.data(), static_cast<std::int32_t>(st->n));
@@ -261,17 +270,19 @@ class Engine {
 
       exec::parallel_for("fdbscan/main/traverse-union", st->n,
                          [&](std::int64_t pos) {
-        // Threads are assigned sorted leaf positions (not raw ids) so that
-        // neighboring threads touch neighboring memory — the batched, low
-        // data-divergence launch of §3.2.
-        const std::int32_t x = bvh.primitive_at(static_cast<std::int32_t>(pos));
-        const auto& px = points[static_cast<std::size_t>(x)];
-        const std::int32_t mask =
-            options.masked_traversal ? static_cast<std::int32_t>(pos) + 1 : 0;
+        // x and every neighbour y are sorted leaf positions: the mask
+        // and the callback's first argument are positions already.
+        const auto x = static_cast<std::int32_t>(pos);
+        const auto& px =
+            points[static_cast<std::size_t>(bvh.primitive_at(x))];
+        const std::int32_t mask = options.masked_traversal ? x + 1 : 0;
+        // The FoF path writes core flags concurrently and never reads xc.
+        const bool xc = !fof && is_core[static_cast<std::size_t>(x)] != 0;
+        std::int32_t rx = x;  // cached member of x's set (merge_cached)
         TraversalStats stats;
         bvh.for_each_near(
             px, eps2, mask,
-            [&](std::int32_t, std::int32_t y) {
+            [&](std::int32_t y, std::int32_t) {
               if (y != x) {
                 if (fof) {
                   // Any eps-close pair consists of two core points (|N| >= 2).
@@ -279,9 +290,10 @@ class Engine {
                       is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
                   exec::atomic_store_relaxed(
                       is_core[static_cast<std::size_t>(y)], std::uint8_t{1});
-                  uf.merge(x, y);
+                  uf.merge_cached(rx, y);
                 } else {
-                  detail::resolve_pair(uf, is_core, x, y, options.variant);
+                  detail::resolve_pair_cached(uf, is_core, xc, x, rx, y,
+                                              options.variant);
                 }
               }
               return TraversalControl::kContinue;
@@ -299,7 +311,8 @@ class Engine {
       std::span<std::int32_t> compact =
           workspace_.acquire<std::int32_t>(kCompact, points_->size());
       Clustering out = detail::finalize_labels_with_scratch(
-          st->labels.data(), st->n, std::move(st->is_core), compact.data());
+          st->labels.data(), st->n, st->is_core, compact.data(),
+          st->bvh->primitive_order());
       st->timings.finalization = st->timer->lap(
           "fdbscan/finalize", &st->timings.finalization_profile);
       out.timings = st->timings;
@@ -357,46 +370,51 @@ class Engine {
     }});
 
     staged.phases.push_back(exec::graph::Phase{"densebox/pre", [this, st] {
-      const auto& points = *points_;
       const GridEntry& entry = *st->grid;
       const DenseGrid<DIM>& grid = entry.grid;
       const Bvh<DIM>& bvh = entry.bvh;
-      const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
       const std::int32_t num_cells = grid.num_dense_cells();
       const auto& cells = grid.cells();
-      const auto& perm = grid.permutation();
       const std::int32_t dense_points = grid.points_in_dense_cells();
       const auto num_isolated =
           static_cast<std::int32_t>(st->n) - dense_points;  // outside cells
+      const auto member_axes = grid.member_axes();
       const Parameters params = st->params;
       const Options& options = st->options;
       const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
 
       // --- Preprocessing ---------------------------------------------------
+      // Every kernel of the run launches in grid-permutation order, and
+      // the core flags and union-find are indexed by grid position:
+      // dense-cell members fill [0, dense_points) cell by cell, isolated
+      // point primitive k sits at dense_points + k. Finalize maps back to
+      // point ids.
+      //
       // Work accounting: explicit within() scans over dense-cell members
       // plus every leaf-primitive bounds test (exact for point primitives,
       // a box-distance test for dense-box primitives) count as distance
       // computations; internal node tests count as index work. Tallies go
       // into striped per-thread slots (leaves_tested absorbs the member
       // scans) — never a shared atomic in the traversal loop.
-      is_core.assign(points.size(), 0);
+      st->is_core = workspace_.acquire<std::uint8_t>(kCore, points_->size());
+      const std::span<std::uint8_t> is_core = st->is_core;
       exec::parallel_for("densebox/pre/dense-core", dense_points,
-                         [&](std::int64_t k) {
-        is_core[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])] =
-            1;
+                         [&](std::int64_t m) {
+        is_core[static_cast<std::size_t>(m)] = 1;
       });
-      if (params.minpts <= 1) {
-        exec::parallel_for("densebox/pre/all-core", st->n,
-                           [&](std::int64_t i) {
-          is_core[static_cast<std::size_t>(i)] = 1;
+      if (params.minpts <= 2) {
+        // minpts == 2: the FoF main phase marks both ends of every pair
+        // it finds. minpts <= 1 leaves no isolated point: every occupied
+        // cell is dense.
+        exec::parallel_for("densebox/pre/isolated-init", num_isolated,
+                           [&](std::int64_t k) {
+          is_core[static_cast<std::size_t>(dense_points + k)] = 0;
         });
-      } else if (params.minpts > 2) {
-        const auto member_axes = grid.member_axes();
+      } else {
         exec::parallel_for("densebox/pre/core-count", num_isolated,
                            [&](std::int64_t k) {
-          const std::int32_t x = isolated_ids[static_cast<std::size_t>(k)];
-          const auto& px = points[static_cast<std::size_t>(x)];
+          const auto m = static_cast<std::size_t>(dense_points + k);
+          const Point<DIM> px = grid.member_point(m);
           std::int32_t count = 0;  // includes x itself (found as a primitive)
           std::int64_t scans = 0;
           TraversalStats stats;  // stack-local: increments stay in registers
@@ -427,7 +445,7 @@ class Engine {
                 return TraversalControl::kContinue;
               },
               &stats);
-          if (count >= params.minpts) is_core[static_cast<std::size_t>(x)] = 1;
+          is_core[m] = count >= params.minpts;
           stats.leaves_tested += scans;
           st->work.local() += stats;
         });
@@ -437,21 +455,21 @@ class Engine {
     }});
 
     staged.phases.push_back(exec::graph::Phase{"densebox/main", [this, st] {
-      const auto& points = *points_;
       const GridEntry& entry = *st->grid;
       const DenseGrid<DIM>& grid = entry.grid;
       const Bvh<DIM>& bvh = entry.bvh;
-      const std::vector<std::int32_t>& isolated_ids = entry.isolated_ids;
       const std::int32_t num_cells = grid.num_dense_cells();
       const auto& cells = grid.cells();
       const auto& perm = grid.permutation();
+      const std::int32_t dense_points = grid.points_in_dense_cells();
+      const auto member_axes = grid.member_axes();
       const Parameters params = st->params;
       const Options& options = st->options;
       const float eps2 = st->eps2;
-      auto& is_core = st->is_core;
+      const std::span<std::uint8_t> is_core = st->is_core;
 
       // --- Main phase -------------------------------------------------------
-      st->labels = workspace_.acquire<std::int32_t>(kUnionFind, points.size());
+      st->labels = workspace_.acquire<std::int32_t>(kUnionFind, points_->size());
       init_singletons(st->labels.data(), static_cast<std::int32_t>(st->n));
       UnionFindView uf(st->labels.data(), static_cast<std::int32_t>(st->n));
       const bool fof = params.minpts == 2;
@@ -460,25 +478,25 @@ class Engine {
       exec::parallel_for("densebox/main/cell-union", num_cells,
                          [&](std::int64_t c) {
         const CellRange& cell = cells[static_cast<std::size_t>(c)];
-        const std::int32_t first = perm[static_cast<std::size_t>(cell.begin)];
         for (std::int32_t m = cell.begin + 1; m < cell.end; ++m) {
-          uf.merge(first, perm[static_cast<std::size_t>(m)]);
+          uf.merge(cell.begin, m);
         }
       });
 
       // Tree search for all points (dense-cell members included: they are
-      // the ones stitching adjacent cells together).
-      const auto member_axes = grid.member_axes();
+      // the ones stitching adjacent cells together), one per grid
+      // position x; every neighbour y is a grid position too.
       exec::parallel_for("densebox/main/traverse-union", st->n,
                          [&](std::int64_t i) {
         const auto x = static_cast<std::int32_t>(i);
-        const auto& px = points[static_cast<std::size_t>(x)];
-        const std::int32_t own_cell =
-            grid.dense_cell_of()[static_cast<std::size_t>(x)];
+        const Point<DIM> px = grid.member_point(static_cast<std::size_t>(x));
+        const std::int32_t own_cell = grid.dense_cell_of()[static_cast<
+            std::size_t>(perm[static_cast<std::size_t>(x)])];
         // Atomic: in the FoF path other threads set is_core[x] concurrently.
         const bool xc =
             exec::atomic_load_relaxed(is_core[static_cast<std::size_t>(x)]) !=
             0;
+        std::int32_t rx = x;  // cached member of x's set (merge_cached)
         std::int64_t scans = 0;
         TraversalStats stats;
         bvh.for_each_near(
@@ -491,32 +509,31 @@ class Engine {
             // The lane-group scan returns the lowest-index witness — the
             // same member a sequential scan finds — so merge targets are
             // unchanged; `scans` advances group-granularly (exec/simd.h).
-            const std::int32_t m = simd::first_within<DIM>(
+            const std::int32_t y = simd::first_within<DIM>(
                 member_axes, cell.begin, cell.end, px, eps2, scans);
-            if (m >= 0) {
-              const std::int32_t y = perm[static_cast<std::size_t>(m)];
-              if (fof && !xc) {
-                exec::atomic_store_relaxed(
-                    is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
-                uf.merge(x, y);
-              } else if (xc || fof) {
-                uf.merge(x, y);
+            if (y >= 0) {
+              if (xc || fof) {
+                if (!xc) {  // FoF: the eps-close witness makes x core
+                  exec::atomic_store_relaxed(
+                      is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
+                }
+                uf.merge_cached(rx, y);
               } else if (options.variant == Variant::kDbscan) {
                 uf.claim(x, y);
               }
             }
           } else {
-            const std::int32_t y =
-                isolated_ids[static_cast<std::size_t>(pid - num_cells)];
+            const std::int32_t y = dense_points + (pid - num_cells);
             if (y != x) {
               if (fof) {
                 exec::atomic_store_relaxed(
                     is_core[static_cast<std::size_t>(x)], std::uint8_t{1});
                 exec::atomic_store_relaxed(
                     is_core[static_cast<std::size_t>(y)], std::uint8_t{1});
-                uf.merge(x, y);
+                uf.merge_cached(rx, y);
               } else {
-                detail::resolve_pair(uf, is_core, x, y, options.variant);
+                detail::resolve_pair_cached(uf, is_core, xc, x, rx, y,
+                                            options.variant);
               }
             }
           }
@@ -533,15 +550,16 @@ class Engine {
     staged.phases.push_back(exec::graph::Phase{
         "densebox/finalize", [this, st, result = staged.result] {
       // --- Finalization ---------------------------------------------------
+      const DenseGrid<DIM>& grid = st->grid->grid;
       flatten(st->labels.data(), static_cast<std::int32_t>(st->n));
       std::span<std::int32_t> compact =
           workspace_.acquire<std::int32_t>(kCompact, points_->size());
       Clustering out = detail::finalize_labels_with_scratch(
-          st->labels.data(), st->n, std::move(st->is_core), compact.data());
+          st->labels.data(), st->n, st->is_core, compact.data(),
+          grid.permutation());
       st->timings.finalization = st->timer->lap(
           "densebox/finalize", &st->timings.finalization_profile);
       out.timings = st->timings;
-      const DenseGrid<DIM>& grid = st->grid->grid;
       out.num_dense_cells = grid.num_dense_cells();
       out.points_in_dense_cells = grid.points_in_dense_cells();
       const TraversalStats total_work = st->work.combine();
@@ -571,9 +589,10 @@ class Engine {
   }
 
  private:
-  // Workspace slots: union-find parents and the finalization rank array.
-  // Both are raw scratch fully overwritten by every run.
-  enum Slot : int { kUnionFind = 0, kCompact, kNumSlots };
+  // Workspace slots: union-find parents, the finalization rank array and
+  // the index-order core flags. All are raw scratch fully overwritten by
+  // every run.
+  enum Slot : int { kUnionFind = 0, kCompact, kCore, kNumSlots };
 
   struct GridEntry {
     float eps;
@@ -582,7 +601,6 @@ class Engine {
     std::uint64_t last_use;   // LRU stamp
     DenseGrid<DIM> grid;
     Bvh<DIM> bvh;             // over dense-cell boxes + isolated points
-    std::vector<std::int32_t> isolated_ids;
     std::size_t tracked_bytes;
   };
 
@@ -605,8 +623,8 @@ class Engine {
     std::optional<exec::PhaseProfiler> timer;  // starts in the index phase
     PhaseTimings timings;
     exec::PerThread<TraversalStats> work;
-    std::vector<std::uint8_t> is_core;
-    std::span<std::int32_t> labels;      // workspace slot, set by main
+    std::span<std::uint8_t> is_core;     // workspace slot, index order
+    std::span<std::int32_t> labels;      // workspace slot, index order
     const Bvh<DIM>* bvh = nullptr;       // fdbscan index
     const GridEntry* grid = nullptr;     // densebox index bundle
   };
@@ -710,9 +728,10 @@ class Engine {
     const std::int32_t dense_points = grid.points_in_dense_cells();
     const auto num_isolated = static_cast<std::int32_t>(n) - dense_points;
 
-    // Primitives: [0, num_cells) dense-cell boxes, then isolated points.
-    // The box array only feeds the BVH build, so it is a temporary — the
-    // cached bundle keeps just the grid, the tree and the id remap.
+    // Primitives: [0, num_cells) dense-cell boxes, then isolated points in
+    // grid order (primitive num_cells + k is grid position
+    // dense_points + k). The box array only feeds the BVH build, so it is
+    // a temporary — the cached bundle keeps just the grid and the tree.
     std::vector<Box<DIM>> primitives(
         static_cast<std::size_t>(num_cells + num_isolated));
     exec::parallel_for("densebox/index/cell-boxes", num_cells,
@@ -720,13 +739,10 @@ class Engine {
       primitives[static_cast<std::size_t>(c)] =
           grid.spec().cell_box(cells[static_cast<std::size_t>(c)].key);
     });
-    std::vector<std::int32_t> isolated_ids(
-        static_cast<std::size_t>(num_isolated));
     exec::parallel_for("densebox/index/isolated-points", num_isolated,
                        [&](std::int64_t k) {
-      const std::int32_t id = perm[static_cast<std::size_t>(dense_points + k)];
-      isolated_ids[static_cast<std::size_t>(k)] = id;
-      const auto& p = points[static_cast<std::size_t>(id)];
+      const Point<DIM> p =
+          grid.member_point(static_cast<std::size_t>(dense_points + k));
       primitives[static_cast<std::size_t>(num_cells + k)] = Box<DIM>{p, p};
     });
     Bvh<DIM> bvh(primitives);
@@ -737,8 +753,7 @@ class Engine {
         perm.size() * sizeof(std::int32_t) +
         cells.size() * sizeof(CellRange) +
         grid.dense_cell_of().size() * sizeof(std::int32_t) +
-        grid.soa_bytes() +
-        bvh.bytes_used() + isolated_ids.size() * sizeof(std::int32_t);
+        grid.soa_bytes() + bvh.bytes_used();
     if (config_.memory) config_.memory->charge(tracked_bytes);
 
     // Evict least-recently-used bundles down to capacity before inserting.
@@ -755,8 +770,7 @@ class Engine {
 
     grid_cache_.push_back(std::make_unique<GridEntry>(GridEntry{
         params.eps, options.densebox_cell_width_factor, minpts_for_dense,
-        ++use_clock_, std::move(grid), std::move(bvh),
-        std::move(isolated_ids), tracked_bytes}));
+        ++use_clock_, std::move(grid), std::move(bvh), tracked_bytes}));
     return *grid_cache_.back();
   }
 

@@ -2,17 +2,27 @@
 // synchronization-free union-find, within the two-phase GPU framework of
 // §3.2.
 //
-//   Preprocessing: one thread per point runs an eps-range traversal that
-//   terminates as soon as minpts neighbors (including the point itself)
-//   are seen; survivors are core points. Skipped entirely for
+//   Index order: every phase runs over the BVH's *sorted leaf
+//   positions*, and the union-find and core flags are indexed by
+//   position too, so neighbouring threads touch neighbouring memory in
+//   the traversal and in its callbacks alike (§3.2).
+//
+//   Preprocessing: one thread per position runs an eps-range traversal
+//   that terminates as soon as minpts neighbors (including the point
+//   itself) are seen; survivors are core points. Skipped entirely for
 //   minpts <= 2 (Alg. 3 line 2).
 //
-//   Main phase: one thread per *sorted leaf position* i runs a masked
-//   traversal that hides every leaf with position < i+1, so each
-//   neighboring pair is discovered exactly once; each discovery resolves
-//   per Algorithm 3 (core-core UNION, core-border CAS claim).
+//   Main phase: one thread per position i runs a masked traversal that
+//   hides every leaf with position < i+1, so each neighboring pair is
+//   discovered exactly once; each discovery resolves per Algorithm 3
+//   (core-core UNION, core-border CAS claim). A core-core pair whose
+//   neighbour already hangs off the thread's cached set member is
+//   skipped without a find (UnionFindView::merge_cached).
 //
-//   Finalization: pointer-jumping flatten + dense relabeling.
+//   Finalization: pointer-jumping flatten + dense relabeling, which
+//   writes labels and core flags back by point id. Clusters are
+//   numbered in leaf order: the same at any worker count, and equal to
+//   any other valid clustering up to renumbering.
 //
 // Memory is O(n): neighbors are processed on the fly and never stored.
 //

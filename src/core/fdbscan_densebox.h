@@ -14,6 +14,14 @@
 // is found (a single witness suffices — all members share a cluster); a
 // discovered isolated point is resolved per Algorithm 3.
 //
+// Every phase runs in grid-permutation order: the union-find and core
+// flags are indexed by grid position (dense-cell members first, cell by
+// cell, then the isolated points in primitive order), so a cell's
+// members and a witness found by the membership scan are already
+// positions, and query points are read from the grid's SoA mirror.
+// Finalization writes labels and core flags back by point id; clusters
+// are numbered in grid order, the same at any worker count.
+//
 // The kernels live in Engine::run_densebox() (core/engine.h); this free
 // function is the one-shot convenience wrapper — every call rebuilds the
 // grid and mixed BVH. Callers re-clustering the same points should hold

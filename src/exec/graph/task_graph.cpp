@@ -1,11 +1,11 @@
 #include "exec/graph/task_graph.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <string>
 
 #include "exec/cancel.h"
 #include "exec/trace.h"
+#include "obs/env.h"
 #include "obs/metrics.h"
 
 namespace fdbscan::exec::graph {
@@ -371,8 +371,9 @@ std::atomic<int>& mode_flag() {
 bool enabled() {
   int mode = mode_flag().load(std::memory_order_relaxed);
   if (mode < 0) {
-    const char* env = std::getenv("FDBSCAN_SERVICE_GRAPH");
-    mode = (env != nullptr && std::string(env) == "0") ? 0 : 1;
+    mode = obs::env_bool("FDBSCAN_SERVICE_GRAPH", true, "graph.env_ignored")
+               ? 1
+               : 0;
     mode_flag().store(mode, std::memory_order_relaxed);
   }
   return mode != 0;

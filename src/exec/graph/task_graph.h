@@ -224,7 +224,9 @@ GraphScheduler& shared_scheduler();
 /// The FDBSCAN_SERVICE_GRAPH knob: graph dispatch is the default;
 /// setting the variable to "0" makes fork-join (run_inline) the default
 /// of ServiceConfig::graph and of ShardedEngine::run(params, options).
-/// Read once and cached; set_enabled() overrides for tests and benches.
+/// Any value but "0" or "1" keeps the default and logs one
+/// graph.env_ignored warning (obs/env.h). Read once and cached;
+/// set_enabled() overrides for tests and benches.
 [[nodiscard]] bool enabled();
 void set_enabled(bool on);
 

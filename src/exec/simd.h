@@ -31,20 +31,22 @@
 // CMake option) decides whether the vector twins exist at all; at
 // runtime the env var FDBSCAN_SIMD=0 or set_enabled(false) drops to the
 // scalar twins, which tests use to prove backend equivalence in one
-// binary. Kernels that load a full lane group past a logical end rely
-// on the +inf padding contract of geometry/points_view.h (kSoaPadding).
+// binary (any value but "0" or "1" keeps the vector twins and logs one
+// exec.env_ignored warning, obs/env.h). Kernels that load a full lane
+// group past a logical end rely on the +inf padding contract of
+// geometry/points_view.h (kSoaPadding).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "geometry/box.h"
 #include "geometry/morton.h"
 #include "geometry/point.h"
 #include "geometry/points_view.h"
+#include "obs/env.h"
 
 #ifndef FDBSCAN_SIMD_BACKEND
 #define FDBSCAN_SIMD_BACKEND 1
@@ -89,9 +91,8 @@ inline bool& enabled_flag() {
   // between runs (tests), never concurrently with worker reads.
   static bool flag = [] {
 #if FDBSCAN_SIMD_BACKEND
-    const char* env = std::getenv("FDBSCAN_SIMD");
     return cpu_supported() &&
-           !(env != nullptr && env[0] == '0' && env[1] == '\0');
+           obs::env_bool("FDBSCAN_SIMD", true, "exec.env_ignored");
 #else
     return false;
 #endif

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "exec/thread_pool.h"
+#include "obs/env.h"
 
 namespace fdbscan::exec {
 
@@ -72,12 +73,11 @@ std::unordered_map<std::string, const char*> g_interned_index;
 std::map<int, std::string> g_registered_names;  // slot -> track name
 
 std::uint64_t capacity_from_env() {
-  std::uint64_t cap = std::uint64_t{1} << 18;  // 262144 events/thread
-  if (const char* env = std::getenv("FDBSCAN_TRACE_BUFFER")) {
-    const long long v = std::atoll(env);
-    if (v > 0) cap = static_cast<std::uint64_t>(v);
-  }
-  return std::clamp<std::uint64_t>(cap, std::uint64_t{1} << 10,
+  const int cap = obs::env_positive_int("FDBSCAN_TRACE_BUFFER",
+                                        1 << 18,  // 262144 events/thread
+                                        "exec.env_ignored");
+  return std::clamp<std::uint64_t>(static_cast<std::uint64_t>(cap),
+                                   std::uint64_t{1} << 10,
                                    std::uint64_t{1} << 24);
 }
 

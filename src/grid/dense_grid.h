@@ -178,6 +178,16 @@ class DenseGrid {
     return axes;
   }
 
+  /// The point at permuted position k, read from the SoA mirror: the
+  /// same coordinates as points[permutation()[k]], without the gather.
+  [[nodiscard]] Point<DIM> member_point(std::size_t k) const noexcept {
+    Point<DIM> p;
+    for (int d = 0; d < DIM; ++d) {
+      p[d] = member_coords_[static_cast<std::size_t>(d)][k];
+    }
+    return p;
+  }
+
   /// Heap bytes of the SoA member mirror (for memory accounting).
   [[nodiscard]] std::size_t soa_bytes() const noexcept {
     std::size_t total = 0;

@@ -61,20 +61,35 @@ class UnionFindView {
 
   /// UNION of the sets containing u and v (both must currently be valid
   /// set members, i.e. reachable chains — core points in DBSCAN terms).
-  void merge(std::int32_t u, std::int32_t v) const noexcept {
+  /// Returns the root the merge ended on. Another merge may hook it
+  /// later, but it stays a member of the joined set: sets only grow.
+  std::int32_t merge(std::int32_t u, std::int32_t v) const noexcept {
     std::int32_t u_rep = representative(u);
     std::int32_t v_rep = representative(v);
     while (u_rep != v_rep) {
       // Hook the larger root under the smaller to keep chains decreasing.
       if (u_rep > v_rep) {
         std::int32_t expected = u_rep;
-        if (exec::atomic_cas(labels_[u_rep], expected, v_rep)) return;
+        if (exec::atomic_cas(labels_[u_rep], expected, v_rep)) return v_rep;
         u_rep = representative(expected);
       } else {
         std::int32_t expected = v_rep;
-        if (exec::atomic_cas(labels_[v_rep], expected, u_rep)) return;
+        if (exec::atomic_cas(labels_[v_rep], expected, u_rep)) return u_rep;
         v_rep = representative(expected);
       }
+    }
+    return u_rep;
+  }
+
+  /// merge(member, v) for a caller joining many points into one set (a
+  /// traversal's core neighbours): `member` is a member of that set the
+  /// caller keeps across calls. It stays a member forever, so v's parent
+  /// being `member` proves v is already joined, and the finds and the
+  /// merge are skipped. Otherwise `member` becomes the root the merge
+  /// ended on, the shortest walk for the next find.
+  void merge_cached(std::int32_t& member, std::int32_t v) const noexcept {
+    if (exec::atomic_load_relaxed(labels_[v]) != member) {
+      member = merge(member, v);
     }
   }
 
@@ -83,6 +98,9 @@ class UnionFindView {
   /// claim; false if y already belongs to some cluster (possibly this
   /// one). This is Algorithm 3's critical section as a single CAS.
   bool claim(std::int32_t y, std::int32_t into) const noexcept {
+    // An assigned point never becomes unassigned again: skip the find
+    // (and its path-halving writes) ahead of a CAS that must fail.
+    if (exec::atomic_load_relaxed(labels_[y]) != y) return false;
     std::int32_t expected = y;
     return exec::atomic_cas(labels_[y], expected, representative(into));
   }

@@ -34,6 +34,17 @@ TEST(Bvh, EmptyTreeHasNoHits) {
   EXPECT_EQ(hits, 0);
 }
 
+TEST(Bvh, PrimitiveOrderListsTheSortedLeaves) {
+  const auto pts = testing::random_points<2>(1000, 1.0f, 44);
+  Bvh<2> bvh(pts);
+  const std::span<const std::int32_t> order = bvh.primitive_order();
+  ASSERT_EQ(order.size(), pts.size());
+  for (std::int32_t pos = 0; pos < bvh.size(); ++pos) {
+    EXPECT_EQ(order[static_cast<std::size_t>(pos)], bvh.primitive_at(pos));
+    EXPECT_EQ(bvh.position_of(bvh.primitive_at(pos)), pos);
+  }
+}
+
 TEST(Bvh, SingleLeaf) {
   Bvh<2> bvh(std::vector<Point2>{{{1.0f, 1.0f}}});
   EXPECT_EQ(bvh.size(), 1);

@@ -20,6 +20,20 @@ TEST(FinalizeLabels, NoiseGetsMinusOne) {
   EXPECT_EQ(c.num_noise(), 1);
 }
 
+TEST(FinalizeLabels, IndexOrderWritesLabelsAndCoreFlagsById) {
+  // Positions 0-1: cluster rooted at 0; 2: a second root with borders
+  // 3 and 4 claimed into it; 5: noise. order[pos] is the point id.
+  const std::vector<std::int32_t> labels{0, 0, 2, 2, 2, 5};
+  const std::vector<std::uint8_t> is_core{1, 1, 1, 0, 0, 0};
+  const std::vector<std::int32_t> order{5, 3, 1, 0, 4, 2};
+  std::vector<std::int32_t> compact(labels.size());
+  const Clustering c = detail::finalize_labels_with_scratch(
+      labels.data(), 6, is_core, compact.data(), order);
+  EXPECT_EQ(c.num_clusters, 2);  // numbered by the roots' positions
+  EXPECT_EQ(c.labels, (std::vector<std::int32_t>{1, 1, kNoise, 0, 1, 0}));
+  EXPECT_EQ(c.is_core, (std::vector<std::uint8_t>{0, 1, 0, 1, 0, 1}));
+}
+
 TEST(FinalizeLabels, ClustersAreDenselyRenumbered) {
   // Roots at 1 and 4 (flattened), interleaved with noise.
   std::vector<std::int32_t> labels{1, 1, 2, 4, 4, 4};

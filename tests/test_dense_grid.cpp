@@ -88,6 +88,17 @@ TEST(DenseGrid, PermutationIsAPermutation) {
   EXPECT_EQ(*ids.rbegin(), static_cast<std::int32_t>(pts.size()) - 1);
 }
 
+TEST(DenseGrid, MemberPointIsThePermutedInputPoint) {
+  auto pts = testing::clustered_points<3>(1500, 5, 1.0f, 0.01f, 43);
+  DenseGrid<3> grid(pts, 0.05f, 10);
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    const Point<3> p = grid.member_point(k);
+    const Point<3>& q =
+        pts[static_cast<std::size_t>(grid.permutation()[k])];
+    for (int d = 0; d < 3; ++d) ASSERT_EQ(p[d], q[d]) << "k=" << k;
+  }
+}
+
 TEST(DenseGrid, DenseCellsMatchManualCount) {
   auto pts = testing::clustered_points<2>(3000, 4, 1.0f, 0.005f, 7);
   const std::int32_t minpts = 8;

@@ -27,9 +27,22 @@ TEST_P(MrScanGroundTruth, MatchesBruteForce) {
   EXPECT_TRUE(check.ok) << check.message;
 }
 
-TEST_P(MrScanGroundTruth, CellFofMatchesOnFofCases) {
+INSTANTIATE_TEST_SUITE_P(Sweep, MrScanGroundTruth,
+                         ::testing::ValuesIn(standard_cases()));
+
+/// cell_fof implements minpts == 2 only: the standard cases it covers.
+std::vector<DbscanCase> fof_cases() {
+  std::vector<DbscanCase> cases;
+  for (const DbscanCase& c : standard_cases()) {
+    if (c.minpts == 2) cases.push_back(c);
+  }
+  return cases;
+}
+
+class CellFofGroundTruth : public ::testing::TestWithParam<DbscanCase> {};
+
+TEST_P(CellFofGroundTruth, MatchesBruteForce) {
   const auto c = GetParam();
-  if (c.minpts != 2) GTEST_SKIP() << "cell_fof is minpts==2 only";
   ScopedThreads threads(c.threads);
   const auto points = make_dataset(c);
   const Parameters params{c.eps, c.minpts};
@@ -38,8 +51,8 @@ TEST_P(MrScanGroundTruth, CellFofMatchesOnFofCases) {
   EXPECT_TRUE(check.ok) << check.message;
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, MrScanGroundTruth,
-                         ::testing::ValuesIn(standard_cases()));
+INSTANTIATE_TEST_SUITE_P(Sweep, CellFofGroundTruth,
+                         ::testing::ValuesIn(fof_cases()));
 
 TEST(MrScan, DbscanStarVariant) {
   auto points = testing::clustered_points<2>(700, 4, 1.0f, 0.012f, 701);

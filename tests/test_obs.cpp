@@ -30,6 +30,7 @@
 #include "exec/memory_tracker.h"
 #include "exec/thread_pool.h"
 #include "exec/trace.h"
+#include "obs/env.h"
 #include "obs/log.h"
 #include "obs/request_id.h"
 #include "obs/statusz.h"
@@ -564,6 +565,64 @@ TEST(ObsLog, ThreadCountEnvRejectsGarbageWithOneWarning) {
   EXPECT_EQ(count_lines_containing(text, "exec.env_ignored"), 1);
   EXPECT_NE(text.find("FDBSCAN_NUM_THREADS"), std::string::npos);
   EXPECT_NE(text.find("4x"), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsEnv, BoolParseMatrix) {
+  // FDBSCAN_SIMD and FDBSCAN_SERVICE_GRAPH: "1" and "0" only.
+  EXPECT_EQ(parse_env_bool("1"), true);
+  EXPECT_EQ(parse_env_bool("0"), false);
+  for (const char* garbage : {"", "2", "-1", "01", " 1", "1 ", "true",
+                              "false", "on", "off", "yes", "no"}) {
+    EXPECT_EQ(parse_env_bool(garbage), std::nullopt)
+        << "value \"" << garbage << "\"";
+  }
+  EXPECT_EQ(parse_env_bool(nullptr), std::nullopt);
+}
+
+TEST(ObsEnv, BoolKnobFallsBackWithOneWarningPerVariable) {
+  const std::string path = temp_path("obs_log_bool_env");
+  std::remove(path.c_str());
+  log_init(path, LogLevel::kDebug);
+  constexpr const char* kVar = "FDBSCAN_TEST_BOOL_KNOB";
+  ::unsetenv(kVar);
+  EXPECT_TRUE(env_bool(kVar, true, "test.env_ignored"));
+  EXPECT_FALSE(env_bool(kVar, false, "test.env_ignored"));
+  for (const char* garbage : {"yes", "2", ""}) {
+    ::setenv(kVar, garbage, 1);
+    EXPECT_TRUE(env_bool(kVar, true, "test.env_ignored"))
+        << "value \"" << garbage << "\"";
+  }
+  ::setenv(kVar, "0", 1);
+  EXPECT_FALSE(env_bool(kVar, true, "test.env_ignored"));
+  ::setenv(kVar, "1", 1);
+  EXPECT_TRUE(env_bool(kVar, false, "test.env_ignored"));
+  ::unsetenv(kVar);
+  log_init("stderr", LogLevel::kWarn);
+  const std::string text = read_file(path);
+  EXPECT_EQ(count_lines_containing(text, "test.env_ignored"), 1);
+  EXPECT_NE(text.find(kVar), std::string::npos);
+  EXPECT_NE(text.find("\"expected\":\"0 or 1\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(ObsEnv, TraceBufferKnobRejectsGarbageWithOneWarning) {
+  // trace_start() reads FDBSCAN_TRACE_BUFFER through the strict
+  // positive-integer parser: the old atoll() read "12abc" as 12.
+  const std::string path = temp_path("obs_log_trace_env");
+  std::remove(path.c_str());
+  log_init(path, LogLevel::kDebug);
+  for (const char* garbage : {"12abc", "-5", "1e6"}) {
+    ::setenv("FDBSCAN_TRACE_BUFFER", garbage, 1);
+    exec::trace_start("");
+    exec::trace_stop();
+  }
+  ::unsetenv("FDBSCAN_TRACE_BUFFER");
+  log_init("stderr", LogLevel::kWarn);
+  const std::string text = read_file(path);
+  EXPECT_EQ(count_lines_containing(text, "exec.env_ignored"), 1);
+  EXPECT_NE(text.find("FDBSCAN_TRACE_BUFFER"), std::string::npos);
+  EXPECT_NE(text.find("12abc"), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -82,6 +82,45 @@ TEST(UnionFindView, ClaimWinsOnlyOnce) {
   EXPECT_EQ(uf.representative(3), 0);
 }
 
+TEST(UnionFindView, ClaimOfAssignedPointTouchesNothing) {
+  // A claim that must fail returns before the find: the long chain under
+  // `into` keeps every link (no path-halving write) and so does y.
+  std::vector<std::int32_t> labels{0, 0, 1, 2, 3, 0};
+  UnionFindView uf(labels.data(), 6);
+  const std::vector<std::int32_t> before = labels;
+  EXPECT_FALSE(uf.claim(5, 4));  // 5 already belongs to 0's set
+  EXPECT_EQ(labels, before);
+  EXPECT_FALSE(uf.claim(4, 3));  // 4 is a chain member, not unassigned
+  EXPECT_EQ(labels, before);
+}
+
+TEST(UnionFindView, MergeReturnsAMemberOfTheJoinedSet) {
+  std::vector<std::int32_t> labels(8);
+  init_singletons(labels);
+  UnionFindView uf(labels.data(), 8);
+  EXPECT_EQ(uf.merge(6, 4), 4);  // 6 hooked under 4
+  EXPECT_EQ(uf.merge(7, 2), 2);
+  EXPECT_EQ(uf.merge(6, 7), 2);  // 4 hooked under 2
+  EXPECT_EQ(uf.merge(4, 7), 2);  // already joined: the common root
+}
+
+TEST(UnionFindView, MergeCachedSkipsJoinedPointsAndTracksTheRoot) {
+  std::vector<std::int32_t> labels(8);
+  init_singletons(labels);
+  UnionFindView uf(labels.data(), 8);
+  std::int32_t member = 5;
+  uf.merge_cached(member, 3);  // 5 hooked under 3
+  EXPECT_EQ(member, 3);
+  uf.merge_cached(member, 6);  // 6 hooked under 3
+  EXPECT_EQ(member, 3);
+  const std::vector<std::int32_t> before = labels;
+  uf.merge_cached(member, 6);  // parent of 6 is the cached member: skip
+  EXPECT_EQ(labels, before);
+  uf.merge_cached(member, 1);
+  EXPECT_EQ(member, 1);
+  for (const std::int32_t v : {1, 3, 5, 6}) EXPECT_EQ(uf.representative(v), 1);
+}
+
 TEST(UnionFindView, ClaimedPointFollowsLaterRootMerges) {
   std::vector<std::int32_t> labels(6);
   init_singletons(labels);
